@@ -221,7 +221,7 @@ def _campaign_case(cfg: RunConfig, speed: float, strategy: tuple[str, float | No
     kind, zeta = strategy
     sens = cfg.sens
     if speed in cfg.campaign_sens:
-        sens, _ = load_sensitivities(cfg.campaign_sens[speed])
+        sens, _ = load_sensitivities(cfg.campaign_sens[speed], cfg.search_dir)
     gains = synthesize(cfg.params, sens,
                        RotorTarget(zeta_rot=cfg.zeta_rot, nu_rot=cfg.nu_rot),
                        strategy=kind, zeta_plt=zeta, m_taug=cfg.m_taug)

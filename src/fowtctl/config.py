@@ -49,15 +49,27 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     return cp
 
 
+def _number(text: str, key: str, where: str, conv=float):
+    """conv(text), or a ConfigError naming the key and where it sits."""
+    try:
+        return conv(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r} in {where}: {text!r}") from exc
+
+
+def _get(sec, key: str, default, conv=float):
+    """sec[key] converted by conv, or default when the key is absent."""
+    if key not in sec:
+        return default
+    return _number(sec[key], key, f"[{sec.name}]", conv)
+
+
 def _section_floats(sec, keys, where: str) -> dict[str, float]:
     out = {}
     for key in keys:
         if key not in sec:
             raise ConfigError(f"missing key {key!r} in {where}")
-        try:
-            out[key] = float(sec[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} in {where}: {sec[key]!r}") from exc
+        out[key] = _number(sec[key], key, where)
     return out
 
 
@@ -140,6 +152,7 @@ class RunConfig:
     campaign_speeds: list[float] = field(default_factory=list)
     campaign_strategies: list[tuple[str, float | None]] = field(default_factory=list)
     campaign_sens: dict[float, str] = field(default_factory=dict)
+    search_dir: str | Path | None = None  # where campaign_sens sets resolve first
     config_hash: str = ""
     taug_op: float = 0.0
     omega_op: float = 0.0
@@ -151,7 +164,7 @@ def _parse_strategy(text: str) -> tuple[str, float | None]:
         _, _, arg = text.partition(":")
         if not arg:
             raise ConfigError("zeta-fixed strategy needs a value, e.g. zeta-fixed:0.10")
-        return "zeta-fixed", float(arg)
+        return "zeta-fixed", _number(arg, "strategies", "[campaign]")
     if text in ("reference", "none"):
         return text, None
     raise ConfigError(f"unknown strategy {text!r}")
@@ -171,18 +184,19 @@ def load_run_config(path, search_dir=None) -> RunConfig:
     sens, sens_name = load_sensitivities(cp["sensitivities"], search_dir)
 
     cfg = RunConfig(params=params, sens=sens,
-                    params_name=params_name, sens_name=sens_name)
+                    params_name=params_name, sens_name=sens_name,
+                    search_dir=search_dir)
     cfg.config_hash = hashlib.sha256(raw).hexdigest()[:12]
 
     if "run" in cp:
         run = cp["run"]
         if "seed" in run:
-            cfg.seed = int(run["seed"])
+            cfg.seed = _get(run, "seed", None, int)
         cfg.out_dir = run.get("out", cfg.out_dir)
 
     if "rotor" in cp:
-        cfg.zeta_rot = cp["rotor"].getfloat("zeta", cfg.zeta_rot)
-        cfg.nu_rot = cp["rotor"].getfloat("nu", cfg.nu_rot)
+        cfg.zeta_rot = _get(cp["rotor"], "zeta", cfg.zeta_rot)
+        cfg.nu_rot = _get(cp["rotor"], "nu", cfg.nu_rot)
 
     if "strategy" in cp:
         sec = cp["strategy"]
@@ -190,32 +204,32 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         if kind == "zeta-fixed":
             if "zeta" not in sec:
                 raise ConfigError("zeta-fixed strategy requires zeta")
-            cfg.zeta_plt = float(sec["zeta"])
+            cfg.zeta_plt = _get(sec, "zeta", None)
         elif kind not in ("reference", "none"):
             raise ConfigError(f"unknown strategy kind {kind!r}")
         cfg.strategy = kind
-        cfg.m_taug = sec.getfloat("m_taug", 0.0)
+        cfg.m_taug = _get(sec, "m_taug", 0.0)
 
     if "gains" in cp:
         g = cp["gains"]
         cfg.gains_override = ControlGains(
-            kp=g.getfloat("kp", 0.0), ki=g.getfloat("ki", 0.0),
-            kbeta=g.getfloat("kbeta", 0.0), ktaug=g.getfloat("ktaug", 0.0))
+            kp=_get(g, "kp", 0.0), ki=_get(g, "ki", 0.0),
+            kbeta=_get(g, "kbeta", 0.0), ktaug=_get(g, "ktaug", 0.0))
 
     if "simulation" in cp:
         sec = cp["simulation"]
-        cfg.dt = sec.getfloat("dt", cfg.dt)
-        cfg.duration = sec.getfloat("duration", cfg.duration)
+        cfg.dt = _get(sec, "dt", cfg.dt)
+        cfg.duration = _get(sec, "duration", cfg.duration)
         cfg.method = sec.get("method", cfg.method)
-        cfg.transient = sec.getfloat("transient", cfg.transient)
-        cfg.taug_op = sec.getfloat("taug_op", 0.0)
-        cfg.omega_op = sec.getfloat("omega_op", 0.0)
+        cfg.transient = _get(sec, "transient", cfg.transient)
+        cfg.taug_op = _get(sec, "taug_op", 0.0)
+        cfg.omega_op = _get(sec, "omega_op", 0.0)
 
     stochastic = False
     for name in sorted(s for s in cp.sections() if s.startswith("disturbance")):
         sec = cp[name]
         kind = sec.get("kind", "").strip()
-        seed = sec.getint("seed") if "seed" in sec else None
+        seed = _get(sec, "seed", None, int)
         if kind == "jonswap-wave":
             stochastic = True
             if seed is None:
@@ -225,11 +239,11 @@ def load_run_config(path, search_dir=None) -> RunConfig:
                                   "([run] seed or per-disturbance)")
         cfg.disturbances.append(DisturbanceSpec(
             kind=kind,
-            amplitude=sec.getfloat("amplitude", 0.0),
-            period=sec.getfloat("period", 0.0),
-            onset=sec.getfloat("onset", 0.0),
-            hs=sec.getfloat("hs", 0.0),
-            gamma=sec.getfloat("gamma", 1.0),
+            amplitude=_get(sec, "amplitude", 0.0),
+            period=_get(sec, "period", 0.0),
+            onset=_get(sec, "onset", 0.0),
+            hs=_get(sec, "hs", 0.0),
+            gamma=_get(sec, "gamma", 1.0),
             seed=seed,
             path=sec.get("path", None),
         ))
@@ -240,25 +254,27 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         sec = cp["fatigue"]
         fs = cfg.fatigue
         fs.curve_kind = sec.get("curve", fs.curve_kind)
-        fs.m1 = sec.getfloat("m1", fs.m1)
-        fs.m2 = sec.getfloat("m2", fs.m2 if fs.m2 is not None else 5.0)
-        fs.knee = sec.getfloat("knee", fs.knee)
-        fs.stress_knee = sec.getfloat("stress_knee", fs.stress_knee)
-        fs.section_modulus = sec.getfloat("section_modulus", fs.section_modulus)
-        fs.n_ref = sec.getfloat("n_ref", fs.n_ref)
-        fs.lifetime_scale = sec.getfloat("lifetime_scale", fs.lifetime_scale)
-        fs.hysteresis_frac = sec.getfloat("hysteresis_frac", fs.hysteresis_frac)
+        fs.m1 = _get(sec, "m1", fs.m1)
+        fs.m2 = _get(sec, "m2", fs.m2 if fs.m2 is not None else 5.0)
+        fs.knee = _get(sec, "knee", fs.knee)
+        fs.stress_knee = _get(sec, "stress_knee", fs.stress_knee)
+        fs.section_modulus = _get(sec, "section_modulus", fs.section_modulus)
+        fs.n_ref = _get(sec, "n_ref", fs.n_ref)
+        fs.lifetime_scale = _get(sec, "lifetime_scale", fs.lifetime_scale)
+        fs.hysteresis_frac = _get(sec, "hysteresis_frac", fs.hysteresis_frac)
 
     if "campaign" in cp:
         sec = cp["campaign"]
         if "wind_speeds" in sec:
-            cfg.campaign_speeds = [float(s) for s in sec["wind_speeds"].split(",") if s.strip()]
+            cfg.campaign_speeds = [_number(s, "wind_speeds", "[campaign]")
+                                   for s in sec["wind_speeds"].split(",") if s.strip()]
         if "strategies" in sec:
             cfg.campaign_strategies = [_parse_strategy(s)
                                        for s in sec["strategies"].split(",") if s.strip()]
         for key, value in sec.items():
             if key.startswith("sens."):
-                cfg.campaign_sens[float(key.split(".", 1)[1])] = value.strip()
+                speed = _number(key.split(".", 1)[1], key, "[campaign]")
+                cfg.campaign_sens[speed] = value.strip()
 
     return cfg
 

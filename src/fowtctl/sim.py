@@ -3,7 +3,8 @@
 Disturbances (blade-pitch steps, wind steps, monochromatic and JONSWAP
 waves, wind files) are turned into continuous input signals; the linear
 closed loop is integrated with classical RK4 or with the exact
-zero-order-hold discretization.  Blade-pitch saturation and rate limits
+zero-order-hold discretization, both run as one affine recurrence
+x[k+1] = P x[k] + f[k] on inputs sampled once per stage time.  Blade-pitch saturation and rate limits
 can be applied at the actuator boundary, which makes the loop mildly
 nonlinear and disables the exact method.
 """
@@ -263,6 +264,41 @@ _UNITS = {
 _DIVERGENCE_NORM = 1e12
 
 
+def _one_step_map(a: np.ndarray, b: np.ndarray, dt: float, method: str):
+    """One step of the linear loop as x[k+1] = P x[k] + sum_j G_j u(t_k + c_j dt).
+
+    Returns (P, [(c_j, G_j), ...]).  For rk4 this is classical RK4's
+    exact one-step map on x' = A x + B u, with u sampled at the step
+    start, midpoint and end; for exact it is the zero-order-hold pair.
+    """
+    if method == "exact":
+        # augmented exponential handles singular A exactly
+        aug = np.zeros((8, 8))
+        aug[:4, :4] = a
+        aug[:4, 4:] = b
+        phi_mat = expm(aug * dt)
+        return phi_mat[:4, :4], [(0.0, phi_mat[:4, 4:])]
+    eye = np.eye(4)
+    ha = dt * a
+    ha2 = ha @ ha
+    ha3 = ha2 @ ha
+    p = eye + ha + ha2 / 2.0 + ha3 / 6.0 + ha3 @ ha / 24.0
+    g0 = dt / 6.0 * (eye + ha + ha2 / 2.0 + ha3 / 4.0) @ b
+    g_half = dt / 6.0 * (4.0 * eye + 2.0 * ha + ha2 / 2.0) @ b
+    g1 = dt / 6.0 * b
+    return p, [(0.0, g0), (0.5, g_half), (1.0, g1)]
+
+
+def _input_rows(inputs, tt: np.ndarray) -> np.ndarray:
+    """Input vectors u = (beta_ol, tau_g_ol, v, w), one row per time in tt."""
+    beta_ol_f, v_f, w_f = inputs
+    u = np.zeros((len(tt), 4))
+    u[:, 0] = beta_ol_f(tt)
+    u[:, 2] = v_f(tt)
+    u[:, 3] = w_f(tt)
+    return u
+
+
 def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
              sens: AeroSensitivities, disturbances, dt: float, t_end: float,
              method: str = "rk4", x0=None,
@@ -284,8 +320,8 @@ def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
 
     n = int(round(t_end / dt)) + 1
     t = dt * np.arange(n)
-    beta_ol_f, v_f, w_f = build_inputs(disturbances, dt, t_end)
-    a = ss.closed
+    inputs = build_inputs(disturbances, dt, t_end)
+    beta_ol_f, v_f, w_f = inputs
     x = np.zeros(4) if x0 is None else np.asarray(x0, dtype=float).copy()
 
     states = np.empty((n, 4))
@@ -294,38 +330,21 @@ def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
     diverged_at = None
 
     if limits is None:
-        b = ss.b_full()
-
-        def u_at(tt):
-            return np.array([beta_ol_f(tt), 0.0, v_f(tt), w_f(tt)])
-
-        if method == "exact":
-            # augmented exponential handles singular A exactly
-            aug = np.zeros((8, 8))
-            aug[:4, :4] = a
-            aug[:4, 4:] = b
-            phi_mat = expm(aug * dt)
-            ad, bd = phi_mat[:4, :4], phi_mat[:4, 4:]
-            for k in range(1, n):
-                x = ad @ x + bd @ u_at(t[k - 1])
-                states[k] = x
-                if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGENCE_NORM:
-                    diverged_at = t[k]
-                    n = k + 1
-                    break
-        else:
-            for k in range(1, n):
-                tk = t[k - 1]
-                k1 = a @ x + b @ u_at(tk)
-                k2 = a @ (x + 0.5 * dt * k1) + b @ u_at(tk + 0.5 * dt)
-                k3 = a @ (x + 0.5 * dt * k2) + b @ u_at(tk + 0.5 * dt)
-                k4 = a @ (x + dt * k3) + b @ u_at(tk + dt)
-                x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                states[k] = x
-                if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGENCE_NORM:
-                    diverged_at = t[k]
-                    n = k + 1
-                    break
+        p, stages = _one_step_map(ss.closed, ss.b_full(), dt, method)
+        # stage times as t[k] + c*dt, not t[k+1]: the two differ by an ulp
+        # on some grid points, which would move a step onset by one stage
+        f = sum(_input_rows(inputs, t[:-1] + c * dt) @ g.T for c, g in stages)
+        # the recurrence is causal, so running on past a blow-up (under
+        # errstate) and truncating afterwards keeps every earlier sample
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n - 1):
+                x = p @ x + f[k]
+                states[k + 1] = x
+            bad = ~np.isfinite(states[1:]).all(axis=1)
+            bad |= np.linalg.norm(states[1:], axis=1) > _DIVERGENCE_NORM
+        if bad.any():
+            n = int(np.argmax(bad)) + 2
+            diverged_at = t[n - 1]
         states = states[:n]
         beta_ol = np.asarray(beta_ol_f(t[:n]), dtype=float) * np.ones(n)
         beta = (gains.kp * states[:, 1] + gains.ki * states[:, 0]

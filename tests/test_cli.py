@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fowtctl.cli import main
-from fowtctl.config import import_gains
+from fowtctl.config import _data_dir, import_gains
 from fowtctl.sim import TimeSeries
 
 BASE = """
@@ -171,3 +171,63 @@ def test_config_error_is_reported_not_raised(tmp_path, capsys):
     path.write_text("[structure]\nuse = nowhere\n[sensitivities]\nuse = table1-false\n")
     assert main(["tune", "--config", str(path)]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+MINIMAL = """
+[structure]
+use = umaine-iea15
+
+[sensitivities]
+use = table1-false
+"""
+
+# keys other than the malformed one that its section needs to reach it
+_SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
+                    "disturbance.d": {"kind": "step-wind"}}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "seed", "4.5"),
+    *[("rotor", k, "x") for k in ("zeta", "nu")],
+    *[("strategy", k, "x") for k in ("zeta", "m_taug")],
+    *[("gains", k, "x") for k in ("kp", "ki", "kbeta", "ktaug")],
+    *[("simulation", k, "abc")
+      for k in ("dt", "duration", "transient", "taug_op", "omega_op")],
+    *[("disturbance.d", k, "x")
+      for k in ("seed", "amplitude", "period", "onset", "hs", "gamma")],
+    *[("fatigue", k, "x")
+      for k in ("m1", "m2", "knee", "stress_knee", "section_modulus",
+                "n_ref", "lifetime_scale", "hysteresis_frac")],
+    ("campaign", "wind_speeds", "12, x"),
+    ("campaign", "strategies", "none, zeta-fixed:abc"),
+    ("campaign", "sens.abc", "table1-true"),
+])
+def test_malformed_number_is_reported_not_raised(tmp_path, capsys,
+                                                 section, key, value):
+    body = {**_SECTION_CONTEXT.get(section, {}), key: value}
+    cfg = _cfg(tmp_path, MINIMAL + f"\n[{section}]\n"
+               + "".join(f"{k} = {v}\n" for k, v in body.items()))
+    assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"'{key}'" in err and f"[{section}]" in err
+
+
+def test_campaign_sens_override_searches_params_dir(tmp_path):
+    custom = tmp_path / "params" / "sensitivities" / "custom.ini"
+    custom.parent.mkdir(parents=True)
+    custom.write_bytes(
+        (_data_dir() / "sensitivities" / "table2-true.ini").read_bytes())
+    grid = """
+[campaign]
+wind_speeds = 11, 22
+strategies = none
+sens.22 = {}
+"""
+    rows = {}
+    for name in ("custom", "table2-true"):
+        cfg = _cfg(tmp_path, SIM + grid.format(name), name=f"{name}.ini")
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path / name),
+                     "--params-dir", str(tmp_path / "params")]) == 0
+        rows[name] = _read_rows(tmp_path / name / "campaign.csv")
+    assert rows["custom"] == rows["table2-true"]

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
@@ -144,6 +146,73 @@ def test_rk4_matches_exact_discretization(closed_t1f, params, sens_t1f):
                  method="exact")
     for name in ("theta", "omega", "phi", "phidot"):
         assert np.max(np.abs(a.channels[name] - b.channels[name])) < 1e-8
+
+
+def _reference_states(ss, disturbances, dt, t_end, method):
+    """The per-step loop: RK4 evaluates the inputs at each stage time,
+    exact holds them over the step with the zero-order-hold pair."""
+    beta_ol_f, v_f, w_f = build_inputs(disturbances, dt, t_end)
+    a, b = ss.closed, ss.b_full()
+    zoh = expm(np.block([[a, b], [np.zeros((4, 8))]]) * dt)
+
+    def u_at(tt):
+        return np.array([beta_ol_f(tt), 0.0, v_f(tt), w_f(tt)])
+
+    n = int(round(t_end / dt)) + 1
+    t = dt * np.arange(n)
+    x = np.zeros(4)
+    states = np.empty((n, 4))
+    states[0] = x
+    for k in range(1, n):
+        tk = t[k - 1]
+        if method == "exact":
+            x = zoh[:4, :4] @ x + zoh[:4, 4:] @ u_at(tk)
+        else:
+            k1 = a @ x + b @ u_at(tk)
+            k2 = a @ (x + 0.5 * dt * k1) + b @ u_at(tk + 0.5 * dt)
+            k3 = a @ (x + 0.5 * dt * k2) + b @ u_at(tk + 0.5 * dt)
+            k4 = a @ (x + dt * k3) + b @ u_at(tk + dt)
+            x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k] = x
+    return states
+
+
+def _assert_states_match(ts, ref):
+    for i, name in enumerate(("theta", "omega", "phi", "phidot")):
+        err = np.max(np.abs(ts.channels[name] - ref[:, i]))
+        assert err <= 1e-10 * np.max(np.abs(ref[:, i])), name
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_one_step_map_matches_per_step_loop(closed_t1f, params, sens_t1f, method):
+    ss, gains = closed_t1f
+    dt, t_end = 0.05, 600.0
+    # wind-step onset on a point where t[k-1] + dt and t[k] differ by an
+    # ulp: the last RK4 stage of step k must see the former
+    t = dt * np.arange(int(round(t_end / dt)) + 1)
+    k = next(k for k in range(2000, len(t)) if t[k - 1] + dt != t[k])
+    specs = [DisturbanceSpec(kind="jonswap-wave", hs=1.5, period=11.0,
+                             gamma=3.3, seed=5),
+             DisturbanceSpec(kind="step-beta", amplitude=0.01, onset=30.0),
+             DisturbanceSpec(kind="step-wind", amplitude=1.0,
+                             onset=max(t[k - 1] + dt, t[k]))]
+    ts = simulate(ss, gains, params, sens_t1f, specs, dt=dt, t_end=t_end,
+                  method=method)
+    _assert_states_match(ts, _reference_states(ss, specs, dt, t_end, method))
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_divergence_matches_per_step_check(params, sens_t1f, method):
+    gains = ControlGains(kp=0.5, ki=0.1, kbeta=-300.0)
+    ss = close_loop(build_open_loop(params, sens_t1f), gains)
+    specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0, onset=1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = simulate(ss, gains, params, sens_t1f, specs, dt=0.05,
+                      t_end=600.0, method=method)
+    assert ts.meta["diverged_at"] == 18.05
+    assert len(ts) == 362
+    _assert_states_match(ts, _reference_states(ss, specs, 0.05, 18.05, method))
 
 
 def test_simulate_divergence_truncates_and_flags(params, sens_t1f):
