@@ -9,24 +9,23 @@ Identical configs (including seed) produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, export_gains, load_run_config
+from .config import FatigueSettings, RunConfig, export_gains, load_run_config
 from .errors import FowtctlError
 from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
                       rainflow)
 from .freq import bode_gplt, bode_grot, damped_band, default_grid
 from .gains import RotorTarget, synthesize
 from .model import ControlGains, build_open_loop, close_loop
-from .sim import DisturbanceSpec, TimeSeries, simulate
+from .sim import TimeSeries, simulate, write_csv
 from .stability import (modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
                         rotor_summary)
@@ -100,23 +99,19 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
         fh.write(f"nmpz_omega_condition = {str(omega_cond).lower()}\n")
         fh.write(f"damped_band = [{lo!r}, {hi!r}] rad/s\n")
         fh.write(f"verdict = {verdict}\n")
-    with open(out / "analysis.csv", "w", newline="") as fh:
-        for line in _header(cfg):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "value"])
-        writer.writerow(["nmpz_phi_condition", str(phi_cond).lower()])
-        writer.writerow(["nmpz_omega_condition", str(omega_cond).lower()])
-        for i, r in enumerate(np.sort_complex(n_phi.roots())):
-            writer.writerow([f"numerator_phi_root_{i}", f"{r:.12g}"])
-        for i, r in enumerate(np.sort_complex(n_omega.roots())):
-            writer.writerow([f"numerator_omega_root_{i}", f"{r:.12g}"])
-        for i, lam in enumerate(report.eigenvalues):
-            writer.writerow([f"eigenvalue_{i}", f"{lam:.12g}"])
-        for i, mode in enumerate(report.modes):
-            writer.writerow([f"mode_{i}_nu [rad/s]", f"{mode.nu:.12g}"])
-            writer.writerow([f"mode_{i}_zeta [-]", f"{mode.zeta:.12g}"])
-        writer.writerow(["stable", str(report.stable).lower()])
+    rows = [["nmpz_phi_condition", str(phi_cond).lower()],
+            ["nmpz_omega_condition", str(omega_cond).lower()]]
+    for i, r in enumerate(np.sort_complex(n_phi.roots())):
+        rows.append([f"numerator_phi_root_{i}", f"{r:.12g}"])
+    for i, r in enumerate(np.sort_complex(n_omega.roots())):
+        rows.append([f"numerator_omega_root_{i}", f"{r:.12g}"])
+    for i, lam in enumerate(report.eigenvalues):
+        rows.append([f"eigenvalue_{i}", f"{lam:.12g}"])
+    for i, mode in enumerate(report.modes):
+        rows.append([f"mode_{i}_nu [rad/s]", f"{mode.nu:.12g}"])
+        rows.append([f"mode_{i}_zeta [-]", f"{mode.zeta:.12g}"])
+    rows.append(["stable", str(report.stable).lower()])
+    write_csv(out / "analysis.csv", _header(cfg), ["quantity", "value"], rows)
     print(f"phi-NMPZ: {phi_cond}  omega-NMPZ: {omega_cond}  verdict: {verdict}")
     print(f"wrote {txt} and {out / 'analysis.csv'}")
     return 0
@@ -153,18 +148,26 @@ def cmd_bode(cfg: RunConfig, out: Path) -> int:
     for resp in responses:
         name = resp.label.replace("<-", "_from_")
         path = out / f"bode_{name}.csv"
-        with open(path, "w", newline="") as fh:
-            for line in _header(cfg):
-                fh.write(f"# {line}\n")
-            if resp.degenerate:
-                fh.write("# degenerate: band-pass form refused, raw rational response\n")
-            writer = csv.writer(fh)
-            writer.writerow(["nu [rad/s]", "magnitude [dB]", "phase [deg]"])
-            for nu, mag, ph in zip(resp.nu_grid, resp.magnitude, resp.phase):
-                writer.writerow([f"{nu:.12g}", f"{20.0 * math.log10(mag):.12g}",
-                                 f"{math.degrees(ph):.12g}"])
+        header = _header(cfg)
+        if resp.degenerate:
+            header.append("degenerate: band-pass form refused, raw rational response")
+        write_csv(path, header, ["nu [rad/s]", "magnitude [dB]", "phase [deg]"],
+                  ([f"{nu:.12g}", f"{20.0 * math.log10(mag):.12g}",
+                    f"{math.degrees(ph):.12g}"]
+                   for nu, mag, ph in zip(resp.nu_grid, resp.magnitude, resp.phase)))
         print(f"wrote {path}")
     return 0
+
+
+def _evaluate_fatigue(signal, fs: FatigueSettings):
+    """Rainflow cycles, damage-equivalent load and Miner damage of one
+    load history under the [fatigue] settings."""
+    cycles = rainflow(signal, hysteresis_frac=fs.hysteresis_frac)
+    curve = WohlerCurve(kind=fs.curve_kind, m1=fs.m1, m2=fs.m2,
+                        knee=fs.knee, stress_knee=fs.stress_knee)
+    del_value = damage_equivalent_load(cycles, fs.m1, fs.n_ref) if cycles else 0.0
+    damage = miner_damage(cycles, curve, fs.section_modulus, fs.lifetime_scale)
+    return cycles, del_value, damage
 
 
 def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
@@ -173,29 +176,15 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
     if channel not in ts.channels:
         raise FowtctlError(f"channel {channel!r} not in {series_file} "
                            f"(has {sorted(ts.channels)})")
-    fs = cfg.fatigue
-    cycles = rainflow(ts.channels[channel], hysteresis_frac=fs.hysteresis_frac)
-    curve = WohlerCurve(kind=fs.curve_kind, m1=fs.m1, m2=fs.m2,
-                        knee=fs.knee, stress_knee=fs.stress_knee)
-    del_value = damage_equivalent_load(cycles, fs.m1, fs.n_ref) if cycles else 0.0
-    damage = miner_damage(cycles, curve, fs.section_modulus, fs.lifetime_scale)
-
-    with open(out / "cycles.csv", "w", newline="") as fh:
-        for line in _header(cfg):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["range [N*m]", "mean [N*m]", "count [-]"])
-        for c in cycles:
-            writer.writerow([f"{c.range:.12g}", f"{c.mean:.12g}", f"{c.count:g}"])
-    with open(out / "fatigue_summary.csv", "w", newline="") as fh:
-        for line in _header(cfg):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "value"])
-        writer.writerow(["channel", channel])
-        writer.writerow(["n_cycles", f"{sum(c.count for c in cycles):g}"])
-        writer.writerow([f"del_m{fs.m1:g} [N*m]", f"{del_value:.12g}"])
-        writer.writerow(["damage [-]", f"{damage:.12g}"])
+    cycles, del_value, damage = _evaluate_fatigue(ts.channels[channel], cfg.fatigue)
+    write_csv(out / "cycles.csv", _header(cfg),
+              ["range [N*m]", "mean [N*m]", "count [-]"],
+              ([f"{c.range:.12g}", f"{c.mean:.12g}", f"{c.count:g}"] for c in cycles))
+    write_csv(out / "fatigue_summary.csv", _header(cfg), ["quantity", "value"],
+              [["channel", channel],
+               ["n_cycles", f"{sum(c.count for c in cycles):g}"],
+               [f"del_m{cfg.fatigue.m1:g} [N*m]", f"{del_value:.12g}"],
+               ["damage [-]", f"{damage:.12g}"]])
     print(f"{channel}: {sum(c.count for c in cycles):g} cycles, "
           f"DEL={del_value:.6g}, damage={damage:.6g}")
     return 0
@@ -225,14 +214,8 @@ def _campaign_case(cfg: RunConfig, speed: float, strategy: tuple[str, float | No
     gains = synthesize(cfg.params, sens,
                        RotorTarget(zeta_rot=cfg.zeta_rot, nu_rot=cfg.nu_rot),
                        strategy=kind, zeta_plt=zeta, m_taug=cfg.m_taug)
-    disturbances = []
-    for spec in cfg.disturbances:
-        if spec.kind == "jonswap-wave":
-            disturbances.append(DisturbanceSpec(
-                kind=spec.kind, amplitude=spec.amplitude, period=spec.period,
-                onset=spec.onset, hs=spec.hs, gamma=spec.gamma, seed=case_seed))
-        else:
-            disturbances.append(spec)
+    disturbances = [replace(spec, seed=case_seed) if spec.kind == "jonswap-wave"
+                    else spec for spec in cfg.disturbances]
     ss = close_loop(build_open_loop(cfg.params, sens), gains)
     ts = simulate(ss, gains, cfg.params, sens, disturbances,
                   dt=cfg.dt, t_end=cfg.duration, method=cfg.method)
@@ -244,13 +227,8 @@ def _campaign_case(cfg: RunConfig, speed: float, strategy: tuple[str, float | No
         ch = post.channels[name]
         stats[name] = (float(np.min(ch)), float(np.mean(ch)),
                        float(np.max(ch)), float(np.std(ch)))
-    fs = cfg.fatigue
-    cycles = rainflow(post.channels["tower_moment"],
-                      hysteresis_frac=fs.hysteresis_frac)
-    curve = WohlerCurve(kind=fs.curve_kind, m1=fs.m1, m2=fs.m2,
-                        knee=fs.knee, stress_knee=fs.stress_knee)
-    del_tower = damage_equivalent_load(cycles, fs.m1, fs.n_ref) if cycles else 0.0
-    damage = miner_damage(cycles, curve, fs.section_modulus, fs.lifetime_scale)
+    _, del_tower, damage = _evaluate_fatigue(post.channels["tower_moment"],
+                                             cfg.fatigue)
     label = kind if zeta is None else f"{kind}:{zeta:g}"
     return CaseResult(
         case_id=f"ws{speed:g}_{label}", wind_speed=speed, strategy=label,
@@ -274,29 +252,26 @@ def cmd_campaign(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
                    for (s, st), sd in zip(grid, seeds)]
     results.sort(key=lambda r: (r.wind_speed, r.strategy))
 
-    path = out / "campaign.csv"
-    with open(path, "w", newline="") as fh:
-        for line in _header(cfg):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        head = ["case_id", "wind_speed [m/s]", "strategy",
-                "kp [s]", "ki [-]", "kbeta [rad*s/rad]", "ktaug [N*m*s/rad]",
-                "stable", "diverged"]
+    head = ["case_id", "wind_speed [m/s]", "strategy",
+            "kp [s]", "ki [-]", "kbeta [rad*s/rad]", "ktaug [N*m*s/rad]",
+            "stable", "diverged"]
+    for name in STAT_CHANNELS:
+        unit = {"phi": "rad", "omega": "rad/s", "beta": "rad",
+                "tower_moment": "N*m"}[name]
+        head += [f"{name}_{s} [{unit}]" for s in ("min", "mean", "max", "std")]
+    head += ["del_tower [N*m]", "damage_tower [-]"]
+    rows = []
+    for r in results:
+        row = [r.case_id, f"{r.wind_speed:g}", r.strategy,
+               f"{r.gains.kp:.12g}", f"{r.gains.ki:.12g}",
+               f"{r.gains.kbeta:.12g}", f"{r.gains.ktaug:.12g}",
+               str(r.stable).lower(), str(r.diverged).lower()]
         for name in STAT_CHANNELS:
-            unit = {"phi": "rad", "omega": "rad/s", "beta": "rad",
-                    "tower_moment": "N*m"}[name]
-            head += [f"{name}_{s} [{unit}]" for s in ("min", "mean", "max", "std")]
-        head += ["del_tower [N*m]", "damage_tower [-]"]
-        writer.writerow(head)
-        for r in results:
-            row = [r.case_id, f"{r.wind_speed:g}", r.strategy,
-                   f"{r.gains.kp:.12g}", f"{r.gains.ki:.12g}",
-                   f"{r.gains.kbeta:.12g}", f"{r.gains.ktaug:.12g}",
-                   str(r.stable).lower(), str(r.diverged).lower()]
-            for name in STAT_CHANNELS:
-                row += [f"{v:.12g}" for v in r.stats[name]]
-            row += [f"{r.del_tower:.12g}", f"{r.damage_tower:.12g}"]
-            writer.writerow(row)
+            row += [f"{v:.12g}" for v in r.stats[name]]
+        row += [f"{r.del_tower:.12g}", f"{r.damage_tower:.12g}"]
+        rows.append(row)
+    path = out / "campaign.csv"
+    write_csv(path, _header(cfg), head, rows)
     n_div = sum(r.diverged for r in results)
     print(f"wrote {path} ({len(results)} cases, {n_div} diverged)")
     return 0
@@ -344,9 +319,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
             # disturbances that inherited the run seed follow the override
             cfg.disturbances = [
-                DisturbanceSpec(kind=d.kind, amplitude=d.amplitude,
-                                period=d.period, onset=d.onset, hs=d.hs,
-                                gamma=d.gamma, seed=args.seed, path=d.path)
+                replace(d, seed=args.seed)
                 if d.kind == "jonswap-wave" and d.seed == old_seed else d
                 for d in cfg.disturbances]
         out = _out_dir(cfg, args.out)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -42,11 +43,18 @@ def _resolve(section: str, name: str, search_dir: str | Path | None) -> Path:
                       f"{', '.join(str(c.parent) for c in candidates)})")
 
 
-def _read_ini(path: Path) -> configparser.ConfigParser:
+def _parse_ini(text: str, path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path) as fh:
-        cp.read_file(fh)
+    try:
+        cp.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return cp
+
+
+def _read_ini(path: Path) -> configparser.ConfigParser:
+    with open(path) as fh:
+        return _parse_ini(fh.read(), path)
 
 
 def _number(text: str, key: str, where: str, conv=float):
@@ -154,8 +162,6 @@ class RunConfig:
     campaign_sens: dict[float, str] = field(default_factory=dict)
     search_dir: str | Path | None = None  # where campaign_sens sets resolve first
     config_hash: str = ""
-    taug_op: float = 0.0
-    omega_op: float = 0.0
 
 
 def _parse_strategy(text: str) -> tuple[str, float | None]:
@@ -172,9 +178,12 @@ def _parse_strategy(text: str) -> tuple[str, float | None]:
 
 def load_run_config(path, search_dir=None) -> RunConfig:
     path = Path(path)
-    raw = path.read_bytes()
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read_string(raw.decode())
+    try:
+        raw = path.read_bytes()
+        text = raw.decode()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    cp = _parse_ini(text, path)
 
     if "structure" not in cp:
         raise ConfigError("config needs a [structure] section")
@@ -222,8 +231,11 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         cfg.duration = _get(sec, "duration", cfg.duration)
         cfg.method = sec.get("method", cfg.method)
         cfg.transient = _get(sec, "transient", cfg.transient)
-        cfg.taug_op = _get(sec, "taug_op", 0.0)
-        cfg.omega_op = _get(sec, "omega_op", 0.0)
+        for key in ("dt", "duration"):
+            value = getattr(cfg, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{key!r} in [simulation] must be finite "
+                                  f"and > 0 (got {value!r})")
 
     stochastic = False
     for name in sorted(s for s in cp.sections() if s.startswith("disturbance")):

@@ -115,31 +115,3 @@ def synthesize(params: StructuralParams, sens: AeroSensitivities,
     kt_g = ktaug(params, sens, m_taug) if m_taug else 0.0
     return ControlGains(kp=kp, ki=ki, kbeta=kbeta, ktaug=kt_g)
 
-
-class GainScheduler:
-    """First-order low-pass on per-operating-point gain updates.
-
-    Gains recomputed as the operating point drifts are smoothed with a
-    configurable time constant before being applied, so the commanded
-    gains never jump between samples.
-    """
-
-    def __init__(self, tau: float = 10.0):
-        if tau <= 0.0:
-            raise ParameterError(f"time constant must be > 0 (got {tau})")
-        self.tau = tau
-        self._state: ControlGains | None = None
-
-    def update(self, raw: ControlGains, dt: float) -> ControlGains:
-        if self._state is None:
-            self._state = raw
-            return raw
-        alpha = 1.0 - math.exp(-dt / self.tau)
-        prev = self._state
-        self._state = ControlGains(
-            kp=prev.kp + alpha * (raw.kp - prev.kp),
-            ki=prev.ki + alpha * (raw.ki - prev.ki),
-            kbeta=prev.kbeta + alpha * (raw.kbeta - prev.kbeta),
-            ktaug=prev.ktaug + alpha * (raw.ktaug - prev.ktaug),
-        )
-        return self._state

@@ -4,9 +4,11 @@ Disturbances (blade-pitch steps, wind steps, monochromatic and JONSWAP
 waves, wind files) are turned into continuous input signals; the linear
 closed loop is integrated with classical RK4 or with the exact
 zero-order-hold discretization, both run as one affine recurrence
-x[k+1] = P x[k] + f[k] on inputs sampled once per stage time.  Blade-pitch saturation and rate limits
-can be applied at the actuator boundary, which makes the loop mildly
-nonlinear and disables the exact method.
+x[k+1] = P x[k] + f[k] on inputs sampled once per stage time.  Blade-pitch
+saturation and rate limits can be applied at the actuator boundary, which
+makes the loop mildly nonlinear and disables the exact method: the clamped
+pitch is held over each RK4 step, so that step is the same recurrence with
+one more input term.
 """
 
 from __future__ import annotations
@@ -66,15 +68,12 @@ class TimeSeries:
 
     def to_csv(self, path, header_lines: list[str] | None = None):
         names = list(self.channels)
-        with open(path, "w", newline="") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t [s]"] + [f"{n} [{self.units.get(n, '-')}]" for n in names])
-            t = self.time
-            cols = [self.channels[n] for n in names]
-            for i in range(len(self)):
-                writer.writerow([f"{t[i]:.6f}"] + [f"{c[i]:.12g}" for c in cols])
+        t = self.time
+        cols = [self.channels[n] for n in names]
+        write_csv(path, header_lines or [],
+                  ["t [s]"] + [f"{n} [{self.units.get(n, '-')}]" for n in names],
+                  ([f"{t[i]:.6f}"] + [f"{c[i]:.12g}" for c in cols]
+                   for i in range(len(self))))
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
@@ -91,6 +90,17 @@ class TimeSeries:
         dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
         channels = {n: arr[:, i + 1] for i, n in enumerate(names)}
         return cls(dt=dt, channels=channels, units=units, t0=float(t[0]))
+
+
+def write_csv(path, header_lines, columns, rows):
+    """CSV file: one `# ` comment line per provenance line, then the
+    column names, then the rows (already formatted as strings)."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -179,7 +189,10 @@ def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
 
 def load_wind_file(path):
     """Two-column CSV (t, v); returns a callable with linear interpolation."""
-    data = np.loadtxt(path, delimiter=",", comments="#")
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#")
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read wind file {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] < 2:
         raise ParameterError(f"wind file {path} must have two columns (t, v)")
     t, v = data[:, 0], data[:, 1]
@@ -326,7 +339,6 @@ def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
 
     states = np.empty((n, 4))
     states[0] = x
-    beta_applied = np.empty(n)
     diverged_at = None
 
     if limits is None:
@@ -350,33 +362,26 @@ def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
         beta = (gains.kp * states[:, 1] + gains.ki * states[:, 0]
                 + gains.kbeta * states[:, 3] + beta_ol)
     else:
-        # saturated actuator: beta command computed at each step start,
-        # clamped and rate-limited, then held over the step
-        a0, bc, bd_mat = ss.a0, ss.bc, ss.bd
-        total_prev = limits.beta_op
-        beta_applied[0] = _clamp_pitch(
-            limits, total_prev,
-            limits.beta_op + gains.kp * x[1] + gains.ki * x[0]
-            + gains.kbeta * x[3] + float(beta_ol_f(t[0])), dt) - limits.beta_op
-        total_prev = limits.beta_op + beta_applied[0]
+        # saturated actuator: the beta command is computed at each step
+        # start, clamped and rate-limited, then held over the step, so the
+        # step is RK4 on x' = A_s x + b_beta beta + B_d u_d(t) with the
+        # generator-torque feedback folded into A_s
+        fb_beta, fb_taug = gains.k0()
+        a_s = ss.a0 + np.outer(ss.bc[:, 1], fb_taug)
+        p, stages = _one_step_map(a_s, ss.b_full(), dt, "rk4")
+        rows = [_input_rows(inputs, t[:-1] + c * dt) for c, _ in stages]
+        beta_ol = rows[0][:, 0]
+        g_beta = sum(g[:, 0] for _, g in stages)
+        f = sum(u[:, 1:] @ g[:, 1:].T for u, (_, g) in zip(rows, stages))
+        beta_applied = np.empty(n)
+        total = _clamp_pitch(limits, limits.beta_op,
+                             limits.beta_op + fb_beta @ x + beta_ol[0], dt)
+        beta_applied[0] = total - limits.beta_op
         for k in range(1, n):
-            tk = t[k - 1]
-            cmd_total = (limits.beta_op + gains.kp * x[1] + gains.ki * x[0]
-                         + gains.kbeta * x[3] + float(beta_ol_f(tk)))
-            total = _clamp_pitch(limits, total_prev, cmd_total, dt)
-            total_prev = total
+            total = _clamp_pitch(limits, total,
+                                 limits.beta_op + fb_beta @ x + beta_ol[k - 1], dt)
             beta_pert = total - limits.beta_op
-
-            def f(xx, tt):
-                uc = np.array([beta_pert, gains.ktaug * xx[3]])
-                ud = np.array([float(v_f(tt)), float(w_f(tt))])
-                return a0 @ xx + bc @ uc + bd_mat @ ud
-
-            k1 = f(x, tk)
-            k2 = f(x + 0.5 * dt * k1, tk + 0.5 * dt)
-            k3 = f(x + 0.5 * dt * k2, tk + 0.5 * dt)
-            k4 = f(x + dt * k3, tk + dt)
-            x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = p @ x + g_beta * beta_pert + f[k - 1]
             states[k] = x
             beta_applied[k] = beta_pert
             if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGENCE_NORM:
@@ -401,14 +406,6 @@ def _clamp_pitch(limits: PitchLimits, prev_total: float, cmd_total: float,
     step = limits.rate * dt
     total = min(max(cmd_total, prev_total - step), prev_total + step)
     return min(max(total, limits.lo), limits.hi)
-
-
-def power_proxy(ts: TimeSeries, params: StructuralParams, taug_op: float,
-                omega_op: float, taug: np.ndarray | None = None) -> np.ndarray:
-    """Generator power about the operating point: ng*(taug_op+taug)*(omega_op+omega).
-    Reported for trend comparison only."""
-    tg = np.zeros(len(ts)) if taug is None else taug
-    return params.ng * (taug_op + tg) * (omega_op + ts.channels["omega"])
 
 
 @dataclass(frozen=True)

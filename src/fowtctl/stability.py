@@ -1,14 +1,13 @@
 """Zero/pole analysis of the closed loop.
 
 Non-minimum-phase-zero (NMPZ) conditions for the blade-pitch channels,
-the numerator polynomials they derive from, the characteristic
-polynomial, an eigen summary with per-mode damping, and the closed-form
-second-order summaries of the reduced rotor and platform dynamics.
+the numerator polynomials they derive from, an eigen summary with
+per-mode damping, and the closed-form second-order summaries of the
+reduced rotor and platform dynamics.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,6 +20,10 @@ from .model import AeroSensitivities, StructuralParams
 #: relative distance to the strict-inequality boundary below which a
 #: warning is emitted (the boundary itself is classified as no-NMPZ)
 BOUNDARY_RTOL = 1e-9
+
+#: polished-root residual, relative to the coefficient scale, above which
+#: Polynomial.roots raises RootConvergenceError
+_ROOT_RTOL = 1e-10
 
 
 class NmpzBoundaryWarning(UserWarning):
@@ -58,30 +61,29 @@ class Polynomial:
             return Polynomial((0.0,))
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
-    def roots(self, polish: bool = True, rtol: float = 1e-10) -> np.ndarray:
+    def roots(self) -> np.ndarray:
         """Roots via companion-matrix eigensolve, one Newton polish step.
 
         Raises RootConvergenceError if the polished residual exceeds
-        rtol relative to the coefficient scale.
+        _ROOT_RTOL relative to the coefficient scale.
         """
         if self.degree == 0:
             return np.array([], dtype=complex)
         r = np.roots(self.coeffs[::-1]).astype(complex)
-        if polish:
-            dp = self.deriv()
-            for i, x in enumerate(r):
-                d = dp(x)
-                if d != 0.0:
-                    step = self(x) / d
-                    if abs(step) < 1.0 + abs(x):  # keep polish local
-                        r[i] = x - step
-            scale = max(abs(c) * max(1.0, abs(x)) ** k
-                        for x in r for k, c in enumerate(self.coeffs))
-            worst = max(abs(self(x)) for x in r)
-            if scale > 0.0 and worst > rtol * scale * self.degree * 10.0:
-                raise RootConvergenceError(
-                    f"root residual {worst:.3e} above tolerance "
-                    f"(scale {scale:.3e}, rtol {rtol:g})")
+        dp = self.deriv()
+        for i, x in enumerate(r):
+            d = dp(x)
+            if d != 0.0:
+                step = self(x) / d
+                if abs(step) < 1.0 + abs(x):  # keep polish local
+                    r[i] = x - step
+        scale = max(abs(c) * max(1.0, abs(x)) ** k
+                    for x in r for k, c in enumerate(self.coeffs))
+        worst = max(abs(self(x)) for x in r)
+        if scale > 0.0 and worst > _ROOT_RTOL * scale * self.degree * 10.0:
+            raise RootConvergenceError(
+                f"root residual {worst:.3e} above tolerance "
+                f"(scale {scale:.3e}, rtol {_ROOT_RTOL:g})")
         return r
 
 
@@ -173,25 +175,10 @@ def numerator_omega(params: StructuralParams, sens: AeroSensitivities,
     return Polynomial((0.0, a1, a2, a3))
 
 
-def char_poly(a: np.ndarray) -> Polynomial:
-    """Monic characteristic polynomial of the (closed-loop) state matrix,
-    coefficients ascending, via the Faddeev-LeVerrier recursion."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"square matrix expected, got {a.shape}")
-    coeffs_desc = [1.0]
-    m = np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs_desc[-1] * np.eye(n)
-        coeffs_desc.append(-np.trace(a @ m) / k)
-    return Polynomial(tuple(coeffs_desc[::-1]))
-
-
 def modal_report(a: np.ndarray) -> ModalReport:
-    """Roots of the characteristic polynomial with per-mode natural
-    frequency and damping ratio; stable iff all real parts negative."""
-    roots = char_poly(a).roots()
+    """Eigenvalues of the state matrix with per-mode natural frequency
+    and damping ratio; stable iff all real parts negative."""
+    roots = np.linalg.eigvals(np.asarray(a, dtype=float)).astype(complex)
     order = sorted(range(len(roots)), key=lambda i: (abs(roots[i]), roots[i].imag))
     roots = roots[order]
     modes = []

@@ -191,8 +191,7 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
     *[("rotor", k, "x") for k in ("zeta", "nu")],
     *[("strategy", k, "x") for k in ("zeta", "m_taug")],
     *[("gains", k, "x") for k in ("kp", "ki", "kbeta", "ktaug")],
-    *[("simulation", k, "abc")
-      for k in ("dt", "duration", "transient", "taug_op", "omega_op")],
+    *[("simulation", k, "abc") for k in ("dt", "duration", "transient")],
     *[("disturbance.d", k, "x")
       for k in ("seed", "amplitude", "period", "onset", "hs", "gamma")],
     *[("fatigue", k, "x")
@@ -211,6 +210,39 @@ def test_malformed_number_is_reported_not_raised(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"'{key}'" in err and f"[{section}]" in err
+
+
+_SIM_SHORT = MINIMAL + """
+[simulation]
+dt = 0.05
+duration = 5
+"""
+
+
+@pytest.mark.parametrize("text,extra", [
+    pytest.param(MINIMAL + "\n[structure]\nuse = umaine-iea15\n", [],
+                 id="duplicate-section"),
+    pytest.param(MINIMAL + "use = table1-true\n", [], id="duplicate-option"),
+    pytest.param("use = umaine-iea15\n" + MINIMAL, [], id="no-section-header"),
+    *[pytest.param(MINIMAL + f"\n[simulation]\n{key} = {value}\n", [],
+                   id=f"{key}={value}")
+      for key in ("dt", "duration") for value in ("nan", "inf", "-inf", "0", "-1")],
+    pytest.param(None, [], id="missing-config"),
+    pytest.param(_SIM_SHORT + "\n[disturbance.w]\nkind = wind-file\n"
+                 "path = {missing}\n", [], id="missing-wind-file"),
+    pytest.param(MINIMAL.replace("umaine-iea15", "broken"),
+                 ["--params-dir", "{params}"], id="duplicate-option-in-set"),
+])
+def test_malformed_input_ends_as_error(tmp_path, capsys, text, extra):
+    broken = tmp_path / "params" / "structure" / "broken.ini"
+    broken.parent.mkdir(parents=True)
+    broken.write_text("[structure]\nng = 1\nng = 2\n")
+    fill = {"missing": tmp_path / "no-such-wind.csv", "params": tmp_path / "params"}
+    cfg = (str(tmp_path / "no-such.ini") if text is None
+           else _cfg(tmp_path, text.format(**fill)))
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv + [a.format(**fill) for a in extra]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_campaign_sens_override_searches_params_dir(tmp_path):

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fowtctl.errors import GainSingularityError, ParameterError
-from fowtctl.gains import (GainScheduler, PlatformTarget, RotorTarget,
-                           kbeta_reference, kbeta_zeta_fixed, ktaug,
-                           synthesize, tune_pi)
-from fowtctl.model import AeroSensitivities, ControlGains, StructuralParams
+from fowtctl.gains import (PlatformTarget, RotorTarget, kbeta_reference,
+                           kbeta_zeta_fixed, ktaug, synthesize, tune_pi)
+from fowtctl.model import AeroSensitivities, StructuralParams
 from fowtctl.stability import platform_summary, rotor_summary
 
 TARGET = RotorTarget(zeta_rot=0.6, nu_rot=0.01)
@@ -124,28 +123,3 @@ def test_target_validation():
     with pytest.raises(ParameterError):
         PlatformTarget(zeta_plt=0.0)
 
-
-def test_scheduler_first_update_passthrough():
-    sched = GainScheduler(tau=5.0)
-    raw = ControlGains(kp=-0.3, ki=1e-4, kbeta=2.0, ktaug=0.0)
-    assert sched.update(raw, 0.1) is raw
-
-
-def test_scheduler_smooths_towards_target():
-    sched = GainScheduler(tau=5.0)
-    a = ControlGains(kp=-0.3, ki=1e-4, kbeta=2.0)
-    b = ControlGains(kp=-0.5, ki=2e-4, kbeta=4.0)
-    sched.update(a, 0.1)
-    mid = sched.update(b, 0.1)
-    # strictly between the previous and the new gains
-    assert a.kp > mid.kp > b.kp
-    assert a.ki < mid.ki < b.ki
-    for _ in range(2000):
-        last = sched.update(b, 0.1)
-    assert last.kp == pytest.approx(b.kp, rel=1e-6)
-    assert last.kbeta == pytest.approx(b.kbeta, rel=1e-6)
-
-
-def test_scheduler_requires_positive_tau():
-    with pytest.raises(ParameterError):
-        GainScheduler(tau=0.0)

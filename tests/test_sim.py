@@ -10,8 +10,8 @@ from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
 from fowtctl.sim import (DisturbanceSpec, PitchLimits, TimeSeries,
-                         build_inputs, free_decay, jonswap_spectrum,
-                         jonswap_wave, mono_wave, power_proxy, simulate)
+                         _clamp_pitch, build_inputs, free_decay,
+                         jonswap_spectrum, jonswap_wave, mono_wave, simulate)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 
@@ -254,6 +254,65 @@ def test_pitch_saturation_respected(closed_t1f, params, sens_t1f):
     assert np.max(np.abs(np.diff(total))) <= math.radians(2.0) * 0.05 + 1e-12
 
 
+def _reference_saturated(ss, gains, disturbances, dt, t_end, limits):
+    """The per-stage RK4 loop with the clamped pitch held over each step
+    and the inputs evaluated at each stage time; returns (states, beta)."""
+    beta_ol_f, v_f, w_f = build_inputs(disturbances, dt, t_end)
+    n = int(round(t_end / dt)) + 1
+    t = dt * np.arange(n)
+    x = np.zeros(4)
+    states = np.empty((n, 4))
+    beta = np.empty(n)
+    states[0] = x
+
+    def command(x, tk):
+        return (limits.beta_op + gains.kp * x[1] + gains.ki * x[0]
+                + gains.kbeta * x[3] + float(beta_ol_f(tk)))
+
+    total = _clamp_pitch(limits, limits.beta_op, command(x, t[0]), dt)
+    beta[0] = total - limits.beta_op
+    for k in range(1, n):
+        tk = t[k - 1]
+        total = _clamp_pitch(limits, total, command(x, tk), dt)
+        pert = total - limits.beta_op
+
+        def f(xx, tt):
+            uc = np.array([pert, gains.ktaug * xx[3]])
+            ud = np.array([float(v_f(tt)), float(w_f(tt))])
+            return ss.a0 @ xx + ss.bc @ uc + ss.bd @ ud
+
+        k1 = f(x, tk)
+        k2 = f(x + 0.5 * dt * k1, tk + 0.5 * dt)
+        k3 = f(x + 0.5 * dt * k2, tk + 0.5 * dt)
+        k4 = f(x + dt * k3, tk + dt)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k] = x
+        beta[k] = pert
+    return states, beta
+
+
+def test_saturated_path_matches_per_stage_loop(params, sens_t1f):
+    gains = synthesize(params, sens_t1f, RotorTarget(0.6, 0.01),
+                       strategy="zeta-fixed", zeta_plt=0.1, m_taug=0.5)
+    assert gains.ktaug != 0.0
+    ss = close_loop(build_open_loop(params, sens_t1f), gains)
+    limits = PitchLimits(beta_op=math.radians(2.0), lo=0.0,
+                         hi=math.radians(20.0), rate=math.radians(2.0))
+    dt, t_end = 0.05, 600.0
+    specs = [DisturbanceSpec(kind="jonswap-wave", hs=1.5, period=11.0,
+                             gamma=3.3, seed=5),
+             DisturbanceSpec(kind="step-beta", amplitude=0.05, onset=20.0),
+             DisturbanceSpec(kind="step-wind", amplitude=8.0, onset=50.0)]
+    ts = simulate(ss, gains, params, sens_t1f, specs, dt=dt, t_end=t_end,
+                  limits=limits)
+    ref, ref_beta = _reference_saturated(ss, gains, specs, dt, t_end, limits)
+    total = limits.beta_op + ref_beta
+    assert np.mean(total == limits.lo) > 0.5  # the lower clamp binds
+    _assert_states_match(ts, ref)
+    err = np.max(np.abs(ts.channels["beta"] - ref_beta))
+    assert err <= 1e-10 * np.max(np.abs(ref_beta))
+
+
 def test_unsaturated_limits_match_linear_path(closed_t1f, params, sens_t1f):
     ss, gains = closed_t1f
     # wide limits and slow rate-free motion: nonlinear path must track
@@ -278,12 +337,6 @@ def test_tower_moment_definition(closed_t1f, params, sens_t1f):
                              + sens_t1f.dfa_dbeta * c["beta"])
                 + params.kt * c["phi"])
     np.testing.assert_allclose(c["tower_moment"], expected, rtol=1e-12)
-
-
-def test_power_proxy(params):
-    ts = TimeSeries(dt=0.1, channels={"omega": np.array([0.0, 0.1])})
-    p = power_proxy(ts, params, taug_op=2.0e7, omega_op=0.79)
-    np.testing.assert_allclose(p, 2.0e7 * np.array([0.79, 0.89]))
 
 
 # --- free decay --------------------------------------------------------

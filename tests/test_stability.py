@@ -10,7 +10,7 @@ from fowtctl.errors import GainSingularityError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
                            build_open_loop, close_loop)
-from fowtctl.stability import (NmpzBoundaryWarning, Polynomial, char_poly,
+from fowtctl.stability import (NmpzBoundaryWarning, Polynomial,
                                modal_report, nmpz_omega_condition,
                                nmpz_phi_condition, numerator_omega,
                                numerator_phi, platform_summary, rotor_summary)
@@ -42,27 +42,13 @@ def test_polynomial_degree_zero_has_no_roots():
     assert Polynomial((3.0,)).roots().size == 0
 
 
-def test_char_poly_matches_numpy():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.normal(size=(4, 4))
-        ours = np.array(char_poly(a).coeffs[::-1])
-        ref = np.poly(a)
-        np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-12)
-
-
-def test_char_poly_rejects_non_square():
-    with pytest.raises(ValueError):
-        char_poly(np.zeros((2, 3)))
-
-
 def test_char_poly_matches_factored_closed_form(params, sens_t1f):
     """The closed-loop characteristic polynomial equals the product of the
     reduced rotor and platform quadratics plus a rank-one coupling term."""
     kp, ki, kb, ktg = -0.3597, 2.074e-4, 2.089, -2.2e8
     gains = ControlGains(kp=kp, ki=ki, kbeta=kb, ktaug=ktg)
     ss = close_loop(build_open_loop(params, sens_t1f), gains)
-    got = np.array(char_poly(ss.closed).coeffs)
+    got = np.poly(ss.closed)[::-1]
 
     s = sens_t1f
     P = np.polynomial.polynomial
