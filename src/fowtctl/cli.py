@@ -25,7 +25,7 @@ from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
 from .freq import bode_gplt, bode_grot, damped_band, default_grid
 from .gains import RotorTarget, synthesize
 from .model import ControlGains, build_open_loop, close_loop
-from .sim import TimeSeries, simulate, write_csv
+from .sim import _UNITS, TimeSeries, simulate, write_csv, write_header
 from .stability import (modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
                         rotor_summary)
@@ -93,8 +93,7 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
 
     txt = out / "analysis.txt"
     with open(txt, "w") as fh:
-        for line in _header(cfg):
-            fh.write(f"# {line}\n")
+        write_header(fh, _header(cfg))
         fh.write(f"nmpz_phi_condition = {str(phi_cond).lower()}\n")
         fh.write(f"nmpz_omega_condition = {str(omega_cond).lower()}\n")
         fh.write(f"damped_band = [{lo!r}, {hi!r}] rad/s\n")
@@ -256,9 +255,7 @@ def cmd_campaign(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
             "kp [s]", "ki [-]", "kbeta [rad*s/rad]", "ktaug [N*m*s/rad]",
             "stable", "diverged"]
     for name in STAT_CHANNELS:
-        unit = {"phi": "rad", "omega": "rad/s", "beta": "rad",
-                "tower_moment": "N*m"}[name]
-        head += [f"{name}_{s} [{unit}]" for s in ("min", "mean", "max", "std")]
+        head += [f"{name}_{s} [{_UNITS[name]}]" for s in ("min", "mean", "max", "std")]
     head += ["del_tower [N*m]", "damage_tower [-]"]
     rows = []
     for r in results:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import AeroSensitivities, ControlGains, StructuralParams
-from .sim import DisturbanceSpec
+from .sim import DisturbanceSpec, write_header
 
 _STRUCT_KEYS = ("ng", "jr", "jt", "dt", "kt", "ht")
 _SENS_KEYS = ("dta_domega", "dta_dv", "dta_dbeta",
@@ -53,8 +53,11 @@ def _parse_ini(text: str, path) -> configparser.ConfigParser:
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
-    with open(path) as fh:
-        return _parse_ini(fh.read(), path)
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return _parse_ini(text, path)
 
 
 def _number(text: str, key: str, where: str, conv=float):
@@ -81,45 +84,41 @@ def _section_floats(sec, keys, where: str) -> dict[str, float]:
     return out
 
 
+def _set_section(kind: str, name_or_sec, search_dir):
+    """The [kind] section of a named parameter set, or the inline config
+    section itself (which may name a set with `use = <name>`).
+    Returns (section, set_name)."""
+    if not isinstance(name_or_sec, str):
+        if "use" not in name_or_sec:
+            return name_or_sec, "<inline>"
+        name_or_sec = name_or_sec["use"]
+    path = _resolve(kind, name_or_sec, search_dir)
+    cp = _read_ini(path)
+    if kind not in cp:
+        raise ConfigError(f"parameter set {path} has no [{kind}] section")
+    return cp[kind], name_or_sec
+
+
 def load_structure(name_or_sec, search_dir=None) -> tuple[StructuralParams, str]:
     """Structural parameters from a set name or a parsed config section.
     Returns (params, set_name)."""
-    if isinstance(name_or_sec, str):
-        path = _resolve("structure", name_or_sec, search_dir)
-        sec = _read_ini(path)["structure"]
-        name = name_or_sec
-    else:
-        sec = name_or_sec
-        if "use" in sec:
-            return load_structure(sec["use"], search_dir)
-        name = "<inline>"
+    sec, name = _set_section("structure", name_or_sec, search_dir)
     vals = _section_floats(sec, _STRUCT_KEYS, f"structure set {name}")
     return StructuralParams(**vals), name
 
 
-def load_sensitivities(name_or_sec, search_dir=None,
-                       require_above_rated: bool = True) -> tuple[AeroSensitivities, str]:
-    """Aerodynamic sensitivities from a set name or parsed section,
-    converted to SI if the set declares kN units."""
-    if isinstance(name_or_sec, str):
-        path = _resolve("sensitivities", name_or_sec, search_dir)
-        sec = _read_ini(path)["sensitivities"]
-        name = name_or_sec
-    else:
-        sec = name_or_sec
-        if "use" in sec:
-            return load_sensitivities(sec["use"], search_dir, require_above_rated)
-        name = "<inline>"
+def load_sensitivities(name_or_sec, search_dir=None) -> tuple[AeroSensitivities, str]:
+    """Aerodynamic sensitivities of an above-rated operating point from a
+    set name or parsed section, converted to SI if the set declares kN
+    units."""
+    sec, name = _set_section("sensitivities", name_or_sec, search_dir)
     vals = _section_floats(sec, _SENS_KEYS, f"sensitivity set {name}")
     units = sec.get("units", "si").strip().lower()
     if units == "kn":
         vals = {k: v * 1e3 for k, v in vals.items()}
     elif units != "si":
         raise ConfigError(f"unknown units {units!r} in sensitivity set {name}")
-    sens = AeroSensitivities(**vals)
-    if require_above_rated:
-        sens.validate_above_rated()
-    return sens, name
+    return AeroSensitivities(**vals).validate_above_rated(), name
 
 
 @dataclass
@@ -294,8 +293,7 @@ def load_run_config(path, search_dir=None) -> RunConfig:
 def export_gains(gains: ControlGains, path, header_lines=None):
     """Write gains in the config format so they round-trip into later runs."""
     with open(path, "w") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
+        write_header(fh, header_lines or [])
         fh.write("[gains]\n")
         fh.write(f"kp = {gains.kp!r}\n")
         fh.write(f"ki = {gains.ki!r}\n")

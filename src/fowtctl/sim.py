@@ -1,14 +1,12 @@
 """Time-domain integration of the closed loop and disturbance synthesis.
 
 Disturbances (blade-pitch steps, wind steps, monochromatic and JONSWAP
-waves, wind files) are turned into continuous input signals; the linear
+waves, wind files) are combined into one input sampler u(tt); the linear
 closed loop is integrated with classical RK4 or with the exact
 zero-order-hold discretization, both run as one affine recurrence
-x[k+1] = P x[k] + f[k] on inputs sampled once per stage time.  Blade-pitch
-saturation and rate limits can be applied at the actuator boundary, which
-makes the loop mildly nonlinear and disables the exact method: the clamped
-pitch is held over each RK4 step, so that step is the same recurrence with
-one more input term.
+x[k+1] = P x[k] + f[k] on inputs sampled once per stage time.  The free
+response behind the log-decrement damping estimate runs on the same
+recurrence with zero forcing.
 """
 
 from __future__ import annotations
@@ -77,27 +75,37 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
-        with open(path) as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        header, data = rows[0], rows[1:]
+        try:
+            with open(path) as fh:
+                rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+            arr = np.array(rows[1:], dtype=float)
+        except (OSError, ValueError, csv.Error) as exc:
+            raise ParameterError(f"cannot read series file {path}: {exc}") from exc
+        if not rows or arr.ndim != 2 or arr.shape[1] != len(rows[0]):
+            raise ParameterError(f"series file {path} needs a header row and "
+                                 "data rows with one value per column")
         names, units = [], {}
-        for col in header[1:]:
+        for col in rows[0][1:]:
             name, _, unit = col.partition(" [")
             names.append(name)
             units[name] = unit.rstrip("]")
-        arr = np.array(data, dtype=float)
         t = arr[:, 0]
         dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
         channels = {n: arr[:, i + 1] for i, n in enumerate(names)}
         return cls(dt=dt, channels=channels, units=units, t0=float(t[0]))
 
 
+def write_header(fh, header_lines):
+    """One `# ` comment line per provenance line."""
+    for line in header_lines:
+        fh.write(f"# {line}\n")
+
+
 def write_csv(path, header_lines, columns, rows):
-    """CSV file: one `# ` comment line per provenance line, then the
-    column names, then the rows (already formatted as strings)."""
+    """CSV file: the `# ` provenance lines, then the column names, then
+    the rows (already formatted as strings)."""
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        write_header(fh, header_lines)
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -132,18 +140,10 @@ class DisturbanceSpec:
             raise ParameterError(f"onset must be >= 0 (got {self.onset})")
         if self.kind == "jonswap-wave" and self.seed is None:
             raise ParameterError("jonswap-wave requires a seed")
+        if self.seed is not None and self.seed < 0:
+            raise ParameterError(f"seed must be >= 0 (got {self.seed})")
         if self.kind == "wind-file" and self.path is None:
             raise ParameterError("wind-file requires a path")
-
-
-def mono_wave(tp: float, hw: float, dt: float, t_end: float, t0: float = 0.0) -> TimeSeries:
-    """Monochromatic wave signal: sinusoid of period tp, peak-to-trough
-    height hw (amplitude hw/2)."""
-    if tp <= 0.0:
-        raise ParameterError(f"tp must be > 0 (got {tp})")
-    t = t0 + dt * np.arange(int(round(t_end / dt)) + 1)
-    w = 0.5 * hw * np.sin(2.0 * math.pi * t / tp)
-    return TimeSeries(dt=dt, channels={"w": w}, units={"w": "m"}, t0=t0)
 
 
 def jonswap_spectrum(f: np.ndarray, hs: float, tp: float, gamma: float) -> np.ndarray:
@@ -188,73 +188,50 @@ def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
 
 
 def load_wind_file(path):
-    """Two-column CSV (t, v); returns a callable with linear interpolation."""
+    """Two-column CSV (t, v); returns the (t, v) sample arrays."""
     try:
         data = np.loadtxt(path, delimiter=",", comments="#")
     except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read wind file {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] < 2:
         raise ParameterError(f"wind file {path} must have two columns (t, v)")
-    t, v = data[:, 0], data[:, 1]
-    return lambda tt: np.interp(tt, t, v)
+    return data[:, 0], data[:, 1]
 
 
 def build_inputs(disturbances, dt: float, t_end: float):
-    """Combine disturbance specs into callables (beta_ol, v, w) of time.
+    """Combine disturbance specs into one sampler u(tt) of a time array.
 
-    Accepts scalars or arrays; contributions to the same channel add."""
-    steps_beta, steps_wind, funcs_wind, monos = [], [], [], []
-    irregular = None
+    u(tt) returns the rows (beta_ol, tau_g_ol, v, w), one per time in tt;
+    contributions to the same channel add: steps before wind files, mono
+    waves before the summed irregular waves.  Wave series are synthesized
+    here once and interpolated by the sampler."""
+    steps, winds, monos, irregular = [], [], [], []
     for spec in disturbances:
         if spec.kind == "step-beta":
-            steps_beta.append((spec.onset, spec.amplitude))
+            steps.append((0, spec.onset, spec.amplitude))
         elif spec.kind == "step-wind":
-            steps_wind.append((spec.onset, spec.amplitude))
+            steps.append((2, spec.onset, spec.amplitude))
         elif spec.kind == "wind-file":
-            funcs_wind.append(load_wind_file(spec.path))
+            winds.append(load_wind_file(spec.path))
         elif spec.kind == "mono-wave":
             monos.append((spec.period, spec.amplitude))
         elif spec.kind == "jonswap-wave":
             ts = jonswap_wave(spec.hs, spec.period, spec.gamma, spec.seed, dt, t_end)
-            series = ts.channels["w"]
-            tgrid = ts.time
-            prev = irregular
-            if prev is None:
-                irregular = lambda t, s=series, g=tgrid: np.interp(t, g, s)
-            else:
-                irregular = lambda t, p=prev, s=series, g=tgrid: p(t) + np.interp(t, g, s)
+            irregular.append((ts.time, ts.channels["w"]))
 
-    def beta_ol(t):
-        return sum((amp * (t >= onset) for onset, amp in steps_beta), np.zeros_like(t, dtype=float) if np.ndim(t) else 0.0)
-
-    def v(t):
-        out = sum((amp * (t >= onset) for onset, amp in steps_wind), np.zeros_like(t, dtype=float) if np.ndim(t) else 0.0)
-        for fn in funcs_wind:
-            out = out + fn(t)
-        return out
-
-    def w(t):
-        out = np.zeros_like(t, dtype=float) if np.ndim(t) else 0.0
+    def u(tt: np.ndarray) -> np.ndarray:
+        rows = np.zeros((len(tt), 4))
+        for col, onset, amp in steps:
+            rows[:, col] += amp * (tt >= onset)
+        for grid, values in winds:
+            rows[:, 2] += np.interp(tt, grid, values)
         for tp, hw in monos:
-            out = out + 0.5 * hw * np.sin(2.0 * math.pi * np.asarray(t) / tp)
-        if irregular is not None:
-            out = out + irregular(t)
-        return out
+            rows[:, 3] += 0.5 * hw * np.sin(2.0 * math.pi * tt / tp)
+        if irregular:
+            rows[:, 3] += sum(np.interp(tt, g, s) for g, s in irregular)
+        return rows
 
-    return beta_ol, v, w
-
-
-@dataclass(frozen=True)
-class PitchLimits:
-    """Actuator limits on the total blade pitch command.
-
-    beta_op is the fine (operating-point) pitch the perturbation rides
-    on; lo/hi clamp the total pitch; rate limits its slew per second."""
-
-    beta_op: float = 0.0
-    lo: float = 0.0
-    hi: float = math.pi / 2.0
-    rate: float = math.radians(2.0)
+    return u
 
 
 def _derived_channels(params: StructuralParams, sens: AeroSensitivities,
@@ -302,21 +279,30 @@ def _one_step_map(a: np.ndarray, b: np.ndarray, dt: float, method: str):
     return p, [(0.0, g0), (0.5, g_half), (1.0, g1)]
 
 
-def _input_rows(inputs, tt: np.ndarray) -> np.ndarray:
-    """Input vectors u = (beta_ol, tau_g_ol, v, w), one row per time in tt."""
-    beta_ol_f, v_f, w_f = inputs
-    u = np.zeros((len(tt), 4))
-    u[:, 0] = beta_ol_f(tt)
-    u[:, 2] = v_f(tt)
-    u[:, 3] = w_f(tt)
-    return u
+def _recur(p: np.ndarray, f: np.ndarray, x0: np.ndarray):
+    """States of x[k+1] = P x[k] + f[k] from x[0] = x0, cut after the
+    first state that overflows or leaves the divergence ball.
+
+    Returns (states, diverged).  The recurrence is causal, so running on
+    past a blow-up (under errstate) and cutting afterwards keeps every
+    earlier sample."""
+    states = np.empty((len(f) + 1, len(x0)))
+    states[0] = x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(f)):
+            x = p @ x + f[k]
+            states[k + 1] = x
+        bad = ~np.isfinite(states[1:]).all(axis=1)
+        bad |= np.linalg.norm(states[1:], axis=1) > _DIVERGENCE_NORM
+    if bad.any():
+        return states[:int(np.argmax(bad)) + 2], True
+    return states, False
 
 
 def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
              sens: AeroSensitivities, disturbances, dt: float, t_end: float,
-             method: str = "rk4", x0=None,
-             limits: PitchLimits | None = None) -> TimeSeries:
-    """Integrate the closed loop under the given disturbances.
+             method: str = "rk4") -> TimeSeries:
+    """Integrate the closed loop from rest under the given disturbances.
 
     Returns state channels plus the total blade pitch command, relative
     wind and a tower-base-moment proxy.  A run whose state overflows is
@@ -327,85 +313,24 @@ def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
         raise ParameterError("need dt > 0 and t_end >= dt")
     if method not in ("rk4", "exact"):
         raise ParameterError(f"unknown method {method!r}")
-    if limits is not None and method == "exact":
-        raise ParameterError("exact discretization is linear only; "
-                             "saturation requires rk4")
 
     n = int(round(t_end / dt)) + 1
     t = dt * np.arange(n)
-    inputs = build_inputs(disturbances, dt, t_end)
-    beta_ol_f, v_f, w_f = inputs
-    x = np.zeros(4) if x0 is None else np.asarray(x0, dtype=float).copy()
-
-    states = np.empty((n, 4))
-    states[0] = x
-    diverged_at = None
-
-    if limits is None:
-        p, stages = _one_step_map(ss.closed, ss.b_full(), dt, method)
-        # stage times as t[k] + c*dt, not t[k+1]: the two differ by an ulp
-        # on some grid points, which would move a step onset by one stage
-        f = sum(_input_rows(inputs, t[:-1] + c * dt) @ g.T for c, g in stages)
-        # the recurrence is causal, so running on past a blow-up (under
-        # errstate) and truncating afterwards keeps every earlier sample
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n - 1):
-                x = p @ x + f[k]
-                states[k + 1] = x
-            bad = ~np.isfinite(states[1:]).all(axis=1)
-            bad |= np.linalg.norm(states[1:], axis=1) > _DIVERGENCE_NORM
-        if bad.any():
-            n = int(np.argmax(bad)) + 2
-            diverged_at = t[n - 1]
-        states = states[:n]
-        beta_ol = np.asarray(beta_ol_f(t[:n]), dtype=float) * np.ones(n)
-        beta = (gains.kp * states[:, 1] + gains.ki * states[:, 0]
-                + gains.kbeta * states[:, 3] + beta_ol)
-    else:
-        # saturated actuator: the beta command is computed at each step
-        # start, clamped and rate-limited, then held over the step, so the
-        # step is RK4 on x' = A_s x + b_beta beta + B_d u_d(t) with the
-        # generator-torque feedback folded into A_s
-        fb_beta, fb_taug = gains.k0()
-        a_s = ss.a0 + np.outer(ss.bc[:, 1], fb_taug)
-        p, stages = _one_step_map(a_s, ss.b_full(), dt, "rk4")
-        rows = [_input_rows(inputs, t[:-1] + c * dt) for c, _ in stages]
-        beta_ol = rows[0][:, 0]
-        g_beta = sum(g[:, 0] for _, g in stages)
-        f = sum(u[:, 1:] @ g[:, 1:].T for u, (_, g) in zip(rows, stages))
-        beta_applied = np.empty(n)
-        total = _clamp_pitch(limits, limits.beta_op,
-                             limits.beta_op + fb_beta @ x + beta_ol[0], dt)
-        beta_applied[0] = total - limits.beta_op
-        for k in range(1, n):
-            total = _clamp_pitch(limits, total,
-                                 limits.beta_op + fb_beta @ x + beta_ol[k - 1], dt)
-            beta_pert = total - limits.beta_op
-            x = p @ x + g_beta * beta_pert + f[k - 1]
-            states[k] = x
-            beta_applied[k] = beta_pert
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGENCE_NORM:
-                diverged_at = t[k]
-                n = k + 1
-                break
-        states = states[:n]
-        beta = beta_applied[:n]
-
-    tt = t[:n]
-    v_arr = np.asarray(v_f(tt), dtype=float) * np.ones(n)
-    w_arr = np.asarray(w_f(tt), dtype=float) * np.ones(n)
-    channels = _derived_channels(params, sens, states, beta, v_arr, w_arr)
+    u = build_inputs(disturbances, dt, t_end)
+    p, stages = _one_step_map(ss.closed, ss.b_full(), dt, method)
+    # stage times as t[k] + c*dt, not t[k+1]: the two differ by an ulp
+    # on some grid points, which would move a step onset by one stage
+    f = sum(u(t[:-1] + c * dt) @ g.T for c, g in stages)
+    states, diverged = _recur(p, f, np.zeros(4))
+    n = len(states)
+    rows = u(t[:n])
+    beta = (gains.kp * states[:, 1] + gains.ki * states[:, 0]
+            + gains.kbeta * states[:, 3] + rows[:, 0])
+    channels = _derived_channels(params, sens, states, beta, rows[:, 2], rows[:, 3])
     meta = {"method": method}
-    if diverged_at is not None:
-        meta["diverged_at"] = float(diverged_at)
+    if diverged:
+        meta["diverged_at"] = float(t[n - 1])
     return TimeSeries(dt=dt, channels=channels, units=dict(_UNITS), meta=meta)
-
-
-def _clamp_pitch(limits: PitchLimits, prev_total: float, cmd_total: float,
-                 dt: float) -> float:
-    step = limits.rate * dt
-    total = min(max(cmd_total, prev_total - step), prev_total + step)
-    return min(max(total, limits.lo), limits.hi)
 
 
 @dataclass(frozen=True)
@@ -426,28 +351,20 @@ def free_decay(a: np.ndarray, x0, dt: float, t_end: float) -> FreeDecayResult:
     exponential fit of |phi| is reported instead.
     """
     n = int(round(t_end / dt)) + 1
-    t = dt * np.arange(n)
-    aug = expm(np.asarray(a) * dt)
-    x = np.asarray(x0, dtype=float).copy()
-    phi = np.empty(n)
-    phi[0] = x[2]
-    for k in range(1, n):
-        x = aug @ x
-        phi[k] = x[2]
+    states, _ = _recur(expm(np.asarray(a) * dt), np.zeros((n - 1, 4)),
+                       np.asarray(x0, dtype=float))
+    phi = states[:, 2]
+    t = dt * np.arange(len(phi))
 
-    peaks_t, peaks_v = [], []
-    for k in range(1, n - 1):
-        if phi[k] > 0.0 and phi[k] >= phi[k - 1] and phi[k] > phi[k + 1]:
-            # parabolic vertex through the three samples
-            denom = phi[k - 1] - 2.0 * phi[k] + phi[k + 1]
-            if denom != 0.0:
-                delta = 0.5 * (phi[k - 1] - phi[k + 1]) / denom
-                vertex = phi[k] - 0.25 * (phi[k - 1] - phi[k + 1]) * delta
-                peaks_t.append(t[k] + delta * dt)
-                peaks_v.append(vertex)
-            else:
-                peaks_t.append(t[k])
-                peaks_v.append(phi[k])
+    mid = phi[1:-1]
+    k = 1 + np.flatnonzero((mid > 0.0) & (mid >= phi[:-2]) & (mid > phi[2:]))
+    # parabolic vertex through the three samples; a flat top keeps the sample
+    lo, hi = phi[k - 1], phi[k + 1]
+    denom = lo - 2.0 * phi[k] + hi
+    flat = denom == 0.0
+    delta = np.where(flat, 0.0, 0.5 * (lo - hi) / np.where(flat, 1.0, denom))
+    peaks_t = t[k] + delta * dt
+    peaks_v = phi[k] - 0.25 * (lo - hi) * delta
 
     if len(peaks_t) < 3:
         mask = np.abs(phi) > 1e-300
@@ -458,8 +375,6 @@ def free_decay(a: np.ndarray, x0, dt: float, t_end: float) -> FreeDecayResult:
         return FreeDecayResult(zeta=math.nan, nu=math.nan, overdamped=True,
                                n_peaks=len(peaks_t), decay_rate=rate)
 
-    peaks_t = np.array(peaks_t)
-    peaks_v = np.array(peaks_v)
     decs = np.log(peaks_v[:-1] / peaks_v[1:])
     delta = float(np.mean(decs))
     zeta = delta / math.sqrt(4.0 * math.pi ** 2 + delta ** 2)

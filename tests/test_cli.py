@@ -1,7 +1,12 @@
 import csv
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fowtctl.cli import main
 from fowtctl.config import _data_dir, import_gains
@@ -263,3 +268,104 @@ sens.22 = {}
                      "--params-dir", str(tmp_path / "params")]) == 0
         rows[name] = _read_rows(tmp_path / name / "campaign.csv")
     assert rows["custom"] == rows["table2-true"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(None, id="missing"),
+    pytest.param("", id="empty"),
+    pytest.param("# fowtctl\nt [s],tower_moment [N*m]\n", id="header-only"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,abc\n", id="non-numeric"),
+])
+def test_fatigue_bad_series_file_ends_as_error(tmp_path, capsys, text):
+    series = tmp_path / "series.csv"
+    if text is not None:
+        series.write_text(text)
+    cfg = _cfg(tmp_path, BASE)
+    assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
+                 str(series)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(series) in err
+
+
+@pytest.mark.parametrize("kind,name,body,msg", [
+    pytest.param("structure", "umaine-iea15", b"[other]\nng = 1\n",
+                 "no [structure]", id="structure-no-section"),
+    pytest.param("sensitivities", "table1-false", b"[other]\nng = 1\n",
+                 "no [sensitivities]", id="sensitivities-no-section"),
+    pytest.param("structure", "umaine-iea15", b"[structure]\nng = \xff\n",
+                 "cannot read", id="undecodable"),
+])
+def test_broken_set_file_ends_as_error(tmp_path, capsys, kind, name, body, msg):
+    broken = tmp_path / "params" / kind / "broken.ini"
+    broken.parent.mkdir(parents=True)
+    broken.write_bytes(body)
+    cfg = _cfg(tmp_path, MINIMAL.replace(name, "broken"))
+    assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--params-dir", str(tmp_path / "params")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and msg in err and str(broken) in err
+
+
+@pytest.mark.parametrize("text,extra", [
+    pytest.param(SIM.replace("seed = 42", "seed = -1"), [], id="run-seed"),
+    pytest.param(SIM + "seed = -3\n", [], id="disturbance-seed"),
+    pytest.param(SIM, ["--seed", "-5"], id="seed-flag"),
+])
+def test_negative_seed_ends_as_error(tmp_path, capsys, text, extra):
+    cfg = _cfg(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+                + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+
+
+_BAD = ("nan", "inf", "-1", "0", "abc", "")
+# section -> key -> valid values.  A drawn config holds the always-present
+# sections and a subset of the others, every key valid, then puts a value
+# from _BAD into up to two keys.  [simulation] dt and duration keep a run
+# short whether valid or bad.
+_FUZZ_SECTIONS = {
+    "structure": {"use": ("umaine-iea15",)},
+    "sensitivities": {"use": ("table1-false", "table1-true", "table3-both")},
+    "simulation": {"dt": ("0.05", "0.5"), "duration": ("2", "20"),
+                   "method": ("rk4", "exact"), "transient": ("1",)},
+    "rotor": {"zeta": ("0.6",), "nu": ("0.01",)},
+    "strategy": {"kind": ("zeta-fixed", "reference", "none"),
+                 "zeta": ("0.1",), "m_taug": ("0.5",)},
+    "gains": {"kp": ("-0.36",), "ki": ("2e-4",), "kbeta": ("2.1",),
+              "ktaug": ("1e6",)},
+    "run": {"seed": ("42",)},
+    "disturbance.a": {"kind": ("jonswap-wave",), "hs": ("1.5",),
+                      "period": ("11",), "gamma": ("2",), "seed": ("3",)},
+    "disturbance.b": {"kind": ("step-wind", "step-beta"), "amplitude": ("1",),
+                      "onset": ("1",)},
+    "disturbance.c": {"kind": ("mono-wave",), "amplitude": ("1",),
+                      "period": ("20",)},
+}
+_ALWAYS = ("structure", "sensitivities", "simulation")
+
+
+@st.composite
+def _fuzz_config(draw):
+    sections = {section: {key: draw(st.sampled_from(valid))
+                          for key, valid in keys.items()}
+                for section, keys in _FUZZ_SECTIONS.items()
+                if section in _ALWAYS or draw(st.booleans())}
+    slots = draw(st.permutations([(section, key) for section, keys in sections.items()
+                                  for key in keys]))
+    for section, key in slots[:draw(st.integers(0, 2))]:
+        sections[section][key] = draw(st.sampled_from(_BAD))
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["tune", "analyze", "simulate"]),
+       text=_fuzz_config())
+def test_main_returns_0_or_2_and_never_raises(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([command, "--config", str(cfg), "--out", tmp]) in (0, 2)

@@ -9,9 +9,8 @@ from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
-from fowtctl.sim import (DisturbanceSpec, PitchLimits, TimeSeries,
-                         _clamp_pitch, build_inputs, free_decay,
-                         jonswap_spectrum, jonswap_wave, mono_wave, simulate)
+from fowtctl.sim import (DisturbanceSpec, TimeSeries, build_inputs, free_decay,
+                         jonswap_spectrum, jonswap_wave, simulate)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 
@@ -59,19 +58,11 @@ def test_timeseries_csv_round_trip(tmp_path):
     (dict(kind="jonswap-wave", period=11.0, hs=1.5), "seed"),
     (dict(kind="wind-file"), "path"),
     (dict(kind="step-wind", onset=-1.0), "onset"),
+    (dict(kind="jonswap-wave", period=11.0, hs=1.5, seed=-1), "seed"),
 ])
 def test_disturbance_validation(kwargs, msg):
     with pytest.raises(ParameterError, match=msg):
         DisturbanceSpec(**kwargs)
-
-
-def test_mono_wave_amplitude_is_half_height():
-    ts = mono_wave(tp=10.0, hw=2.0, dt=0.01, t_end=40.0)
-    w = ts.channels["w"]
-    assert np.max(w) == pytest.approx(1.0, abs=1e-3)
-    assert np.min(w) == pytest.approx(-1.0, abs=1e-3)
-    # period check: value repeats every tp
-    np.testing.assert_allclose(w[: 1000], w[1000: 2000], atol=1e-9)
 
 
 def test_jonswap_spectrum_zeroth_moment():
@@ -100,20 +91,20 @@ def test_build_inputs_superposition():
     specs = [DisturbanceSpec(kind="step-wind", amplitude=2.0, onset=5.0),
              DisturbanceSpec(kind="step-wind", amplitude=-0.5, onset=10.0),
              DisturbanceSpec(kind="mono-wave", amplitude=2.0, period=10.0)]
-    beta_ol, v, w = build_inputs(specs, dt=0.1, t_end=20.0)
-    assert beta_ol(7.0) == 0.0
-    assert v(4.9) == 0.0
-    assert v(7.0) == 2.0
-    assert v(12.0) == 1.5
-    assert w(2.5) == pytest.approx(1.0)  # hw/2 at quarter period
+    u = build_inputs(specs, dt=0.1, t_end=20.0)
+    rows = u(np.array([2.5, 4.9, 7.0, 12.0]))
+    assert rows.shape == (4, 4)
+    np.testing.assert_array_equal(rows[:, :2], 0.0)  # beta_ol, tau_g_ol
+    np.testing.assert_array_equal(rows[:, 2], [0.0, 0.0, 2.0, 1.5])
+    assert rows[0, 3] == pytest.approx(1.0)  # hw/2 at quarter period
 
 
 def test_wind_file_input(tmp_path):
     path = tmp_path / "wind.csv"
     path.write_text("0.0,10.0\n10.0,12.0\n")
     spec = DisturbanceSpec(kind="wind-file", path=str(path))
-    _, v, _ = build_inputs([spec], dt=0.1, t_end=10.0)
-    assert v(5.0) == pytest.approx(11.0)
+    u = build_inputs([spec], dt=0.1, t_end=10.0)
+    assert u(np.array([5.0]))[0, 2] == pytest.approx(11.0)
 
 
 # --- simulate ----------------------------------------------------------
@@ -151,12 +142,12 @@ def test_rk4_matches_exact_discretization(closed_t1f, params, sens_t1f):
 def _reference_states(ss, disturbances, dt, t_end, method):
     """The per-step loop: RK4 evaluates the inputs at each stage time,
     exact holds them over the step with the zero-order-hold pair."""
-    beta_ol_f, v_f, w_f = build_inputs(disturbances, dt, t_end)
+    u = build_inputs(disturbances, dt, t_end)
     a, b = ss.closed, ss.b_full()
     zoh = expm(np.block([[a, b], [np.zeros((4, 8))]]) * dt)
 
     def u_at(tt):
-        return np.array([beta_ol_f(tt), 0.0, v_f(tt), w_f(tt)])
+        return u(np.array([tt]))[0]
 
     n = int(round(t_end / dt)) + 1
     t = dt * np.arange(n)
@@ -235,96 +226,6 @@ def test_simulate_method_validation(closed_t1f, params, sens_t1f):
                  method="euler")
     with pytest.raises(ParameterError):
         simulate(ss, gains, params, sens_t1f, [], dt=-0.1, t_end=1.0)
-    with pytest.raises(ParameterError, match="rk4"):
-        simulate(ss, gains, params, sens_t1f, [], dt=0.05, t_end=1.0,
-                 method="exact", limits=PitchLimits())
-
-
-def test_pitch_saturation_respected(closed_t1f, params, sens_t1f):
-    ss, gains = closed_t1f
-    limits = PitchLimits(beta_op=math.radians(10.0), lo=0.0,
-                         hi=math.radians(12.0), rate=math.radians(2.0))
-    specs = [DisturbanceSpec(kind="step-wind", amplitude=8.0)]
-    ts = simulate(ss, gains, params, sens_t1f, specs, dt=0.05, t_end=60.0,
-                  limits=limits)
-    total = limits.beta_op + ts.channels["beta"]
-    assert np.all(total <= math.radians(12.0) + 1e-12)
-    assert np.all(total >= -1e-12)
-    # slew between consecutive samples never exceeds the rate limit
-    assert np.max(np.abs(np.diff(total))) <= math.radians(2.0) * 0.05 + 1e-12
-
-
-def _reference_saturated(ss, gains, disturbances, dt, t_end, limits):
-    """The per-stage RK4 loop with the clamped pitch held over each step
-    and the inputs evaluated at each stage time; returns (states, beta)."""
-    beta_ol_f, v_f, w_f = build_inputs(disturbances, dt, t_end)
-    n = int(round(t_end / dt)) + 1
-    t = dt * np.arange(n)
-    x = np.zeros(4)
-    states = np.empty((n, 4))
-    beta = np.empty(n)
-    states[0] = x
-
-    def command(x, tk):
-        return (limits.beta_op + gains.kp * x[1] + gains.ki * x[0]
-                + gains.kbeta * x[3] + float(beta_ol_f(tk)))
-
-    total = _clamp_pitch(limits, limits.beta_op, command(x, t[0]), dt)
-    beta[0] = total - limits.beta_op
-    for k in range(1, n):
-        tk = t[k - 1]
-        total = _clamp_pitch(limits, total, command(x, tk), dt)
-        pert = total - limits.beta_op
-
-        def f(xx, tt):
-            uc = np.array([pert, gains.ktaug * xx[3]])
-            ud = np.array([float(v_f(tt)), float(w_f(tt))])
-            return ss.a0 @ xx + ss.bc @ uc + ss.bd @ ud
-
-        k1 = f(x, tk)
-        k2 = f(x + 0.5 * dt * k1, tk + 0.5 * dt)
-        k3 = f(x + 0.5 * dt * k2, tk + 0.5 * dt)
-        k4 = f(x + dt * k3, tk + dt)
-        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k] = x
-        beta[k] = pert
-    return states, beta
-
-
-def test_saturated_path_matches_per_stage_loop(params, sens_t1f):
-    gains = synthesize(params, sens_t1f, RotorTarget(0.6, 0.01),
-                       strategy="zeta-fixed", zeta_plt=0.1, m_taug=0.5)
-    assert gains.ktaug != 0.0
-    ss = close_loop(build_open_loop(params, sens_t1f), gains)
-    limits = PitchLimits(beta_op=math.radians(2.0), lo=0.0,
-                         hi=math.radians(20.0), rate=math.radians(2.0))
-    dt, t_end = 0.05, 600.0
-    specs = [DisturbanceSpec(kind="jonswap-wave", hs=1.5, period=11.0,
-                             gamma=3.3, seed=5),
-             DisturbanceSpec(kind="step-beta", amplitude=0.05, onset=20.0),
-             DisturbanceSpec(kind="step-wind", amplitude=8.0, onset=50.0)]
-    ts = simulate(ss, gains, params, sens_t1f, specs, dt=dt, t_end=t_end,
-                  limits=limits)
-    ref, ref_beta = _reference_saturated(ss, gains, specs, dt, t_end, limits)
-    total = limits.beta_op + ref_beta
-    assert np.mean(total == limits.lo) > 0.5  # the lower clamp binds
-    _assert_states_match(ts, ref)
-    err = np.max(np.abs(ts.channels["beta"] - ref_beta))
-    assert err <= 1e-10 * np.max(np.abs(ref_beta))
-
-
-def test_unsaturated_limits_match_linear_path(closed_t1f, params, sens_t1f):
-    ss, gains = closed_t1f
-    # wide limits and slow rate-free motion: nonlinear path must track
-    # the purely linear one closely
-    limits = PitchLimits(beta_op=math.radians(10.0), lo=-1.0, hi=1.5,
-                         rate=math.radians(500.0))
-    specs = [DisturbanceSpec(kind="step-wind", amplitude=0.01)]
-    lin = simulate(ss, gains, params, sens_t1f, specs, dt=0.01, t_end=30.0)
-    sat = simulate(ss, gains, params, sens_t1f, specs, dt=0.01, t_end=30.0,
-                   limits=limits)
-    diff = np.max(np.abs(sat.channels["phi"] - lin.channels["phi"]))
-    assert diff < 1e-3 * np.max(np.abs(lin.channels["phi"]))
 
 
 def test_tower_moment_definition(closed_t1f, params, sens_t1f):
