@@ -25,7 +25,7 @@ from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
 from .freq import bode_gplt, bode_grot, damped_band, default_grid
 from .gains import RotorTarget, synthesize
 from .model import ControlGains, build_open_loop, close_loop
-from .sim import _UNITS, TimeSeries, simulate, write_csv, write_header
+from .sim import _UNITS, TimeSeries, csv_cell, simulate, write_csv, write_header
 from .stability import (modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
                         rotor_summary)
@@ -98,19 +98,20 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
         fh.write(f"nmpz_omega_condition = {str(omega_cond).lower()}\n")
         fh.write(f"damped_band = [{lo!r}, {hi!r}] rad/s\n")
         fh.write(f"verdict = {verdict}\n")
-    rows = [["nmpz_phi_condition", str(phi_cond).lower()],
-            ["nmpz_omega_condition", str(omega_cond).lower()]]
+    rows = [("nmpz_phi_condition", str(phi_cond).lower()),
+            ("nmpz_omega_condition", str(omega_cond).lower())]
     for i, r in enumerate(np.sort_complex(n_phi.roots())):
-        rows.append([f"numerator_phi_root_{i}", f"{r:.12g}"])
+        rows.append((f"numerator_phi_root_{i}", f"{r:.12g}"))
     for i, r in enumerate(np.sort_complex(n_omega.roots())):
-        rows.append([f"numerator_omega_root_{i}", f"{r:.12g}"])
+        rows.append((f"numerator_omega_root_{i}", f"{r:.12g}"))
     for i, lam in enumerate(report.eigenvalues):
-        rows.append([f"eigenvalue_{i}", f"{lam:.12g}"])
+        rows.append((f"eigenvalue_{i}", f"{lam:.12g}"))
     for i, mode in enumerate(report.modes):
-        rows.append([f"mode_{i}_nu [rad/s]", f"{mode.nu:.12g}"])
-        rows.append([f"mode_{i}_zeta [-]", f"{mode.zeta:.12g}"])
-    rows.append(["stable", str(report.stable).lower()])
-    write_csv(out / "analysis.csv", _header(cfg), ["quantity", "value"], rows)
+        rows.append((f"mode_{i}_nu [rad/s]", f"{mode.nu:.12g}"))
+        rows.append((f"mode_{i}_zeta [-]", f"{mode.zeta:.12g}"))
+    rows.append(("stable", str(report.stable).lower()))
+    write_csv(out / "analysis.csv", _header(cfg), ["quantity", "value"],
+              "%s,%s", rows)
     print(f"phi-NMPZ: {phi_cond}  omega-NMPZ: {omega_cond}  verdict: {verdict}")
     print(f"wrote {txt} and {out / 'analysis.csv'}")
     return 0
@@ -151,9 +152,11 @@ def cmd_bode(cfg: RunConfig, out: Path) -> int:
         if resp.degenerate:
             header.append("degenerate: band-pass form refused, raw rational response")
         write_csv(path, header, ["nu [rad/s]", "magnitude [dB]", "phase [deg]"],
-                  ([f"{nu:.12g}", f"{20.0 * math.log10(mag):.12g}",
-                    f"{math.degrees(ph):.12g}"]
-                   for nu, mag, ph in zip(resp.nu_grid, resp.magnitude, resp.phase)))
+                  "%.12g,%.12g,%.12g",
+                  ((nu, 20.0 * math.log10(mag), math.degrees(ph))
+                   for nu, mag, ph in zip(resp.nu_grid.tolist(),
+                                          resp.magnitude.tolist(),
+                                          resp.phase.tolist())))
         print(f"wrote {path}")
     return 0
 
@@ -176,15 +179,16 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
         raise FowtctlError(f"channel {channel!r} not in {series_file} "
                            f"(has {sorted(ts.channels)})")
     cycles, del_value, damage = _evaluate_fatigue(ts.channels[channel], cfg.fatigue)
+    n_cycles = sum(c.count for c in cycles)
     write_csv(out / "cycles.csv", _header(cfg),
-              ["range [N*m]", "mean [N*m]", "count [-]"],
-              ([f"{c.range:.12g}", f"{c.mean:.12g}", f"{c.count:g}"] for c in cycles))
+              ["range [N*m]", "mean [N*m]", "count [-]"], "%.12g,%.12g,%g", cycles)
     write_csv(out / "fatigue_summary.csv", _header(cfg), ["quantity", "value"],
-              [["channel", channel],
-               ["n_cycles", f"{sum(c.count for c in cycles):g}"],
-               [f"del_m{cfg.fatigue.m1:g} [N*m]", f"{del_value:.12g}"],
-               ["damage [-]", f"{damage:.12g}"]])
-    print(f"{channel}: {sum(c.count for c in cycles):g} cycles, "
+              "%s,%s",
+              [("channel", csv_cell(channel)),
+               ("n_cycles", f"{n_cycles:g}"),
+               (f"del_m{cfg.fatigue.m1:g} [N*m]", f"{del_value:.12g}"),
+               ("damage [-]", f"{damage:.12g}")])
+    print(f"{channel}: {n_cycles:g} cycles, "
           f"DEL={del_value:.6g}, damage={damage:.6g}")
     return 0
 
@@ -257,18 +261,16 @@ def cmd_campaign(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
     for name in STAT_CHANNELS:
         head += [f"{name}_{s} [{_UNITS[name]}]" for s in ("min", "mean", "max", "std")]
     head += ["del_tower [N*m]", "damage_tower [-]"]
-    rows = []
-    for r in results:
-        row = [r.case_id, f"{r.wind_speed:g}", r.strategy,
-               f"{r.gains.kp:.12g}", f"{r.gains.ki:.12g}",
-               f"{r.gains.kbeta:.12g}", f"{r.gains.ktaug:.12g}",
-               str(r.stable).lower(), str(r.diverged).lower()]
-        for name in STAT_CHANNELS:
-            row += [f"{v:.12g}" for v in r.stats[name]]
-        row += [f"{r.del_tower:.12g}", f"{r.damage_tower:.12g}"]
-        rows.append(row)
+    fmt = ("%s,%g,%s" + ",%.12g" * 4 + ",%s,%s"
+           + ",%.12g" * (4 * len(STAT_CHANNELS) + 2))
+    rows = [(r.case_id, r.wind_speed, r.strategy,
+             r.gains.kp, r.gains.ki, r.gains.kbeta, r.gains.ktaug,
+             str(r.stable).lower(), str(r.diverged).lower(),
+             *(v for name in STAT_CHANNELS for v in r.stats[name]),
+             r.del_tower, r.damage_tower)
+            for r in results]
     path = out / "campaign.csv"
-    write_csv(path, _header(cfg), head, rows)
+    write_csv(path, _header(cfg), head, fmt, rows)
     n_div = sum(r.diverged for r in results)
     print(f"wrote {path} ({len(results)} cases, {n_div} diverged)")
     return 0

@@ -75,6 +75,12 @@ def _get(sec, key: str, default, conv=float):
     return _number(sec[key], key, f"[{sec.name}]", conv)
 
 
+def _require(ok: bool, key: str, where: str, value, what: str) -> None:
+    """A ConfigError naming the key unless ok."""
+    if not ok:
+        raise ConfigError(f"{key!r} in {where} must be {what} (got {value!r})")
+
+
 def _section_floats(sec, keys, where: str) -> dict[str, float]:
     out = {}
     for key in keys:
@@ -232,9 +238,8 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         cfg.transient = _get(sec, "transient", cfg.transient)
         for key in ("dt", "duration"):
             value = getattr(cfg, key)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{key!r} in [simulation] must be finite "
-                                  f"and > 0 (got {value!r})")
+            _require(0.0 < value < math.inf, key, "[simulation]", value,
+                     "finite and > 0")
 
     stochastic = False
     for name in sorted(s for s in cp.sections() if s.startswith("disturbance")):
@@ -273,12 +278,27 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         fs.n_ref = _get(sec, "n_ref", fs.n_ref)
         fs.lifetime_scale = _get(sec, "lifetime_scale", fs.lifetime_scale)
         fs.hysteresis_frac = _get(sec, "hysteresis_frac", fs.hysteresis_frac)
+        for key in ("m1", "m2", "knee", "stress_knee", "section_modulus", "n_ref"):
+            value = getattr(fs, key)
+            _require(0.0 < value < math.inf, key, "[fatigue]", value,
+                     "finite and > 0")
+        _require(0.0 <= fs.lifetime_scale < math.inf, "lifetime_scale",
+                 "[fatigue]", fs.lifetime_scale, "finite and >= 0")
+        _require(0.0 <= fs.hysteresis_frac < 1.0, "hysteresis_frac",
+                 "[fatigue]", fs.hysteresis_frac, "in [0, 1)")
 
     if "campaign" in cp:
         sec = cp["campaign"]
         if "wind_speeds" in sec:
             cfg.campaign_speeds = [_number(s, "wind_speeds", "[campaign]")
                                    for s in sec["wind_speeds"].split(",") if s.strip()]
+            for speed in cfg.campaign_speeds:
+                _require(0.0 < speed < math.inf, "wind_speeds", "[campaign]",
+                         speed, "finite and > 0")
+            # the printed speed names the case, so it must be unique too
+            labels = [f"{speed:g}" for speed in cfg.campaign_speeds]
+            _require(len(set(labels)) == len(labels), "wind_speeds",
+                     "[campaign]", sec["wind_speeds"], "unique")
         if "strategies" in sec:
             cfg.campaign_strategies = [_parse_strategy(s)
                                        for s in sec["strategies"].split(",") if s.strip()]

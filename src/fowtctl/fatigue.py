@@ -8,57 +8,52 @@ space and continuous at the knee.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
+    """One counted cycle; rainflow yields range > 0 and count 0.5 or 1."""
+
     range: float
     mean: float
-    count: float  # 0.5 or 1.0
-
-    def __post_init__(self):
-        if self.range < 0.0:
-            raise ParameterError(f"cycle range must be >= 0 (got {self.range})")
-        if self.count not in (0.5, 1.0):
-            raise ParameterError(f"cycle count must be 0.5 or 1.0 (got {self.count})")
+    count: float
 
 
 def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
     """Local extrema of the signal, endpoints included.
 
+    Repeated samples are dropped first, so a plateau counts once.
     Adjacent extrema closer than `hysteresis` (absolute units) are
     merged to suppress numerical chatter from the integrator.
     """
     x = np.asarray(signal, dtype=float)
     if x.size < 2:
         return x.copy()
-    keep = [x[0]]
-    for i in range(1, x.size - 1):
-        if (x[i] - keep[-1]) * (x[i + 1] - x[i]) < 0.0:
-            keep.append(x[i])
-    keep.append(x[-1])
-    pts = np.array(keep)
-    # drop flat repeats
-    mask = np.ones(pts.size, dtype=bool)
-    mask[1:] = np.diff(pts) != 0.0
-    pts = pts[mask]
-    if hysteresis > 0.0 and pts.size > 2:
-        filtered = [pts[0]]
-        for p in pts[1:]:
-            if abs(p - filtered[-1]) >= hysteresis:
-                filtered.append(p)
-            elif len(filtered) > 1:
-                # keep the more extreme of the merged pair
-                if (filtered[-1] - filtered[-2]) * (p - filtered[-1]) > 0.0:
-                    filtered[-1] = p
-        pts = np.array(filtered)
-    return pts
+    x = x[np.concatenate(([True], np.diff(x) != 0.0))]
+    if x.size > 2:
+        # slope signs, not slope products: a product of two tiny slopes
+        # can underflow to zero and hide an extremum
+        rising = np.diff(x) > 0.0
+        flips = np.flatnonzero(rising[:-1] != rising[1:]) + 1
+        x = np.concatenate((x[:1], x[flips], x[-1:]))
+    if hysteresis <= 0.0 or x.size <= 2:
+        return x
+    pts = x.tolist()
+    kept = pts[:1]
+    for p in pts[1:]:
+        if abs(p - kept[-1]) >= hysteresis:
+            kept.append(p)
+        elif len(kept) > 1 and (kept[-1] - kept[-2]) * (p - kept[-1]) > 0.0:
+            # keep the more extreme of the merged pair
+            kept[-1] = p
+    return np.array(kept)
 
 
 def rainflow(signal, hysteresis_frac: float = 0.0) -> list[Cycle]:
@@ -74,31 +69,42 @@ def rainflow(signal, hysteresis_frac: float = 0.0) -> list[Cycle]:
     hyst = 0.0
     if hysteresis_frac > 0.0:
         hyst = hysteresis_frac * float(np.ptp(x))
-    pts = turning_points(x, hysteresis=hyst)
-    cycles: list[Cycle] = []
+    ranges: list[float] = []
+    means: list[float] = []
+    counts: list[float] = []
     stack: list[float] = []
-    for p in pts:
+    start = 0  # stack index of the history's current starting point
+    for p in turning_points(x, hysteresis=hyst).tolist():
         stack.append(p)
-        while len(stack) >= 3:
+        while len(stack) - start >= 3:
             rng_x = abs(stack[-1] - stack[-2])
             rng_y = abs(stack[-2] - stack[-3])
             if rng_x < rng_y:
                 break
-            if len(stack) == 3:
-                # Y contains the history's (current) starting point:
-                # half cycle, then the start moves one point forward
-                cycles.append(Cycle(range=rng_y,
-                                    mean=0.5 * (stack[0] + stack[1]),
-                                    count=0.5))
-                stack.pop(0)
+            ranges.append(rng_y)
+            means.append(0.5 * (stack[-3] + stack[-2]))
+            if len(stack) - start == 3:
+                # Y contains the starting point: half cycle, then the
+                # start moves one point forward
+                counts.append(0.5)
+                start += 1
             else:
-                cycles.append(Cycle(range=rng_y,
-                                    mean=0.5 * (stack[-2] + stack[-3]),
-                                    count=1.0))
+                counts.append(1.0)
                 del stack[-3:-1]
-    for a, b in zip(stack, stack[1:]):
-        cycles.append(Cycle(range=abs(b - a), mean=0.5 * (a + b), count=0.5))
-    return [c for c in cycles if c.range > 0.0]
+    rest = stack[start:]
+    for a, b in zip(rest, rest[1:]):
+        ranges.append(abs(b - a))
+        means.append(0.5 * (a + b))
+        counts.append(0.5)
+    return [c for c in map(Cycle, ranges, means, counts) if c.range > 0.0]
+
+
+def _ranges_counts(cycles) -> tuple[np.ndarray, np.ndarray]:
+    """The range and count columns of a cycle list."""
+    n = len(cycles)
+    table = np.fromiter(itertools.chain.from_iterable(cycles), float,
+                        3 * n).reshape(n, 3)
+    return table[:, 0], table[:, 2]
 
 
 def damage_equivalent_load(cycles, m: float, n_ref: float) -> float:
@@ -106,7 +112,8 @@ def damage_equivalent_load(cycles, m: float, n_ref: float) -> float:
     m-th-power damage sum as the counted spectrum."""
     if m <= 0.0 or n_ref <= 0.0:
         raise ParameterError("m and n_ref must be > 0")
-    acc = sum(c.count * c.range ** m for c in cycles)
+    ranges, counts = _ranges_counts(cycles)
+    acc = float(np.sum(counts * ranges ** m))
     return (acc / n_ref) ** (1.0 / m)
 
 
@@ -129,13 +136,16 @@ class WohlerCurve:
         if self.kind == "bilinear" and (self.m2 is None or self.m2 <= 0.0):
             raise ParameterError("bilinear curve requires m2 > 0")
 
-    def cycles_to_failure(self, stress_range: float) -> float:
-        """N(delta_sigma); continuous at the knee by construction."""
-        if stress_range <= 0.0:
-            return math.inf
-        if self.kind == "single" or stress_range >= self.stress_knee:
-            return self.knee * (self.stress_knee / stress_range) ** self.m1
-        return self.knee * (self.stress_knee / stress_range) ** self.m2
+    def cycles_to_failure(self, stress_range):
+        """N(delta_sigma), elementwise over an array of stress ranges;
+        infinite at zero stress, continuous at the knee by construction."""
+        s = np.asarray(stress_range, dtype=float)
+        slope = self.m1
+        if self.kind == "bilinear":
+            slope = np.where(s >= self.stress_knee, self.m1, self.m2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            n_fail = self.knee * (self.stress_knee / s) ** slope
+        return np.where(s > 0.0, n_fail, math.inf)[()]  # scalar in, scalar out
 
 
 def miner_damage(cycles, curve: WohlerCurve, section_modulus: float,
@@ -145,9 +155,6 @@ def miner_damage(cycles, curve: WohlerCurve, section_modulus: float,
         raise ParameterError(f"section modulus must be > 0 (got {section_modulus})")
     if lifetime_scale < 0.0:
         raise ParameterError(f"lifetime_scale must be >= 0 (got {lifetime_scale})")
-    total = 0.0
-    for c in cycles:
-        n_fail = curve.cycles_to_failure(c.range / section_modulus)
-        if math.isfinite(n_fail):
-            total += c.count / n_fail
-    return lifetime_scale * total
+    ranges, counts = _ranges_counts(cycles)
+    n_fail = curve.cycles_to_failure(ranges / section_modulus)
+    return lifetime_scale * float(np.sum(counts / n_fail))

@@ -17,7 +17,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+# numpy loads these submodules lazily.  Importing them here, at start-up,
+# lets the workers `campaign` forks inherit them instead of each paying
+# the import.
+from numpy.fft import irfft, rfftfreq
+from numpy.random import default_rng
 
 from .errors import ParameterError
 from .model import AeroSensitivities, ControlGains, StateSpace, StructuralParams
@@ -66,26 +70,32 @@ class TimeSeries:
 
     def to_csv(self, path, header_lines: list[str] | None = None):
         names = list(self.channels)
-        t = self.time
-        cols = [self.channels[n] for n in names]
+        columns = [self.time] + [self.channels[n] for n in names]
         write_csv(path, header_lines or [],
                   ["t [s]"] + [f"{n} [{self.units.get(n, '-')}]" for n in names],
-                  ([f"{t[i]:.6f}"] + [f"{c[i]:.12g}" for c in cols]
-                   for i in range(len(self))))
+                  "%.6f" + ",%.12g" * len(names), _row_tuples(columns))
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
         try:
             with open(path) as fh:
-                rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-            arr = np.array(rows[1:], dtype=float)
+                head = next((r for r in csv.reader(fh)
+                             if r and not r[0].startswith("#")), None)
+                with warnings.catch_warnings():
+                    # an empty body is reported below, not warned about
+                    warnings.simplefilter("ignore", UserWarning)
+                    arr = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
         except (OSError, ValueError, csv.Error) as exc:
             raise ParameterError(f"cannot read series file {path}: {exc}") from exc
-        if not rows or arr.ndim != 2 or arr.shape[1] != len(rows[0]):
+        if head is None or len(arr) == 0 or arr.shape[1] != len(head):
             raise ParameterError(f"series file {path} needs a header row and "
                                  "data rows with one value per column")
+        bad = ~np.isfinite(arr).all(axis=1)
+        if bad.any():
+            raise ParameterError(f"series file {path}: non-finite value in "
+                                 f"data row {int(np.argmax(bad)) + 1}")
         names, units = [], {}
-        for col in rows[0][1:]:
+        for col in head[1:]:
             name, _, unit = col.partition(" [")
             names.append(name)
             units[name] = unit.rstrip("]")
@@ -95,20 +105,44 @@ class TimeSeries:
         return cls(dt=dt, channels=channels, units=units, t0=float(t[0]))
 
 
+_ROW_BLOCK = 1024
+
+
+def _row_tuples(columns):
+    """Rows of equal-length 1-D columns as tuples of Python floats, built
+    one block of rows at a time so the whole table never exists at once."""
+    for i in range(0, len(columns[0]), _ROW_BLOCK):
+        block = np.column_stack([c[i:i + _ROW_BLOCK] for c in columns])
+        yield from map(tuple, block.tolist())
+
+
 def write_header(fh, header_lines):
     """One `# ` comment line per provenance line."""
     for line in header_lines:
         fh.write(f"# {line}\n")
 
 
-def write_csv(path, header_lines, columns, rows):
-    """CSV file: the `# ` provenance lines, then the column names, then
-    the rows (already formatted as strings)."""
+def csv_cell(text: str) -> str:
+    """text as one CSV cell: quoted, with inner quotes doubled, when it
+    holds a comma, a quote or a line break (the csv module's minimal
+    quoting)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv(path, header_lines, columns, fmt, rows):
+    """CSV file: the `# ` provenance lines, the column names, then one
+    `fmt % row` line per row tuple, each ending in CRLF as the csv
+    module's default dialect does.  Column names and `%s` cells are
+    written as given, so a cell that may hold a comma or quote goes
+    through csv_cell first."""
+    line = fmt + "\r\n"
     with open(path, "w", newline="") as fh:
         write_header(fh, header_lines)
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.write(",".join(columns) + "\r\n")
+        for row in rows:
+            fh.write(line % row)
 
 
 @dataclass(frozen=True)
@@ -173,17 +207,17 @@ def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
         warnings.warn(f"duration {t_end} s short for spectral resolution "
                       f"(< 10*Tp = {10 * tp} s)", UserWarning, stacklevel=2)
     n = int(round(t_end / dt)) + 1
-    f = np.fft.rfftfreq(n, dt)
+    f = rfftfreq(n, dt)
     df = f[1] if len(f) > 1 else 1.0
     s = jonswap_spectrum(f, hs, tp, gamma)
     amp = np.sqrt(2.0 * s * df)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=len(f))
     spec = 0.5 * n * amp * np.exp(1j * phases)
     spec[0] = 0.0
     if n % 2 == 0:
         spec[-1] = 0.0
-    w = np.fft.irfft(spec, n=n)
+    w = irfft(spec, n=n)
     return TimeSeries(dt=dt, channels={"w": w}, units={"w": "m"})
 
 
@@ -262,6 +296,8 @@ def _one_step_map(a: np.ndarray, b: np.ndarray, dt: float, method: str):
     start, midpoint and end; for exact it is the zero-order-hold pair.
     """
     if method == "exact":
+        from scipy.linalg import expm  # scipy loads only for this method
+
         # augmented exponential handles singular A exactly
         aug = np.zeros((8, 8))
         aug[:4, :4] = a
@@ -350,6 +386,8 @@ def free_decay(a: np.ndarray, x0, dt: float, t_end: float) -> FreeDecayResult:
     fewer than 3 peaks the motion is flagged overdamped and an
     exponential fit of |phi| is reported instead.
     """
+    from scipy.linalg import expm
+
     n = int(round(t_end / dt)) + 1
     states, _ = _recur(expm(np.asarray(a) * dt), np.zeros((n - 1, 4)),
                        np.asarray(x0, dtype=float))

@@ -1,4 +1,8 @@
 import csv
+import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fowtctl
 from fowtctl.cli import main
 from fowtctl.config import _data_dir, import_gains
 from fowtctl.sim import TimeSeries
@@ -203,6 +208,13 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
       for k in ("m1", "m2", "knee", "stress_knee", "section_modulus",
                 "n_ref", "lifetime_scale", "hysteresis_frac")],
     ("campaign", "wind_speeds", "12, x"),
+    *[("fatigue", k, v)
+      for k in ("m1", "m2", "knee", "stress_knee", "section_modulus", "n_ref")
+      for v in ("nan", "inf", "0", "-1")],
+    *[("fatigue", "lifetime_scale", v) for v in ("nan", "inf", "-1")],
+    *[("fatigue", "hysteresis_frac", v) for v in ("nan", "inf", "1", "-0.5")],
+    *[("campaign", "wind_speeds", v)
+      for v in ("nan", "12, inf", "0", "-3", "12, 12", "12, 12.0")],
     ("campaign", "strategies", "none, zeta-fixed:abc"),
     ("campaign", "sens.abc", "table1-true"),
 ])
@@ -275,16 +287,36 @@ sens.22 = {}
     pytest.param("", id="empty"),
     pytest.param("# fowtctl\nt [s],tower_moment [N*m]\n", id="header-only"),
     pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,abc\n", id="non-numeric"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,nan\n0.2,3.0\n",
+                 id="nan-cell"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2.0\n0.2,-inf\n",
+                 id="inf-cell"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2.0,3.0\n",
+                 id="ragged"),
 ])
 def test_fatigue_bad_series_file_ends_as_error(tmp_path, capsys, text):
     series = tmp_path / "series.csv"
     if text is not None:
         series.write_text(text)
     cfg = _cfg(tmp_path, BASE)
-    assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
-                 str(series)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported as an error, not warned about
+        assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
+                     str(series)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(series) in err
+
+
+def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_text('t [s],"load, tower [N*m]"\n0.0,1.0\n0.1,-2.0\n0.2,3.0\n')
+    cfg = _cfg(tmp_path, BASE)
+    assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
+                 str(series), "--channel", "load, tower"]) == 0
+    data = (tmp_path / "o" / "fatigue_summary.csv").read_bytes()
+    assert b'\r\nchannel,"load, tower"\r\n' in data
+    rows = _read_rows(tmp_path / "o" / "fatigue_summary.csv")
+    assert rows[1] == ["channel", "load, tower"]
 
 
 @pytest.mark.parametrize("kind,name,body,msg", [
@@ -319,7 +351,7 @@ def test_negative_seed_ends_as_error(tmp_path, capsys, text, extra):
     assert err.startswith("error:") and "seed" in err
 
 
-_BAD = ("nan", "inf", "-1", "0", "abc", "")
+_BAD = ("nan", "inf", "-1", "0", "abc", "", "1, 1")
 # section -> key -> valid values.  A drawn config holds the always-present
 # sections and a subset of the others, every key valid, then puts a value
 # from _BAD into up to two keys.  [simulation] dt and duration keep a run
@@ -341,6 +373,13 @@ _FUZZ_SECTIONS = {
                       "onset": ("1",)},
     "disturbance.c": {"kind": ("mono-wave",), "amplitude": ("1",),
                       "period": ("20",)},
+    "fatigue": {"curve": ("single", "bilinear"), "m1": ("3", "4"), "m2": ("5",),
+                "knee": ("1e6",), "stress_knee": ("5e7",),
+                "section_modulus": ("6.5",), "n_ref": ("600",),
+                "lifetime_scale": ("1", "0"), "hysteresis_frac": ("0", "1e-3")},
+    "campaign": {"wind_speeds": ("12", "12, 16"),
+                 "strategies": ("none", "none, zeta-fixed:0.1"),
+                 "sens.16": ("table1-true",)},
 }
 _ALWAYS = ("structure", "sensitivities", "simulation")
 
@@ -359,13 +398,91 @@ def _fuzz_config(draw):
                    for section, keys in sections.items())
 
 
-@settings(max_examples=50, derandomize=True, database=None, deadline=None)
-@given(command=st.sampled_from(["tune", "analyze", "simulate"]),
-       text=_fuzz_config())
-def test_main_returns_0_or_2_and_never_raises(command, text):
+@st.composite
+def _fuzz_series(draw):
+    """(text, ok) of a tower_moment series file; ok is False when the file
+    has no data row or a bad cell (non-finite, empty, text or ragged)."""
+    cells = [repr(v) for v in draw(st.lists(st.floats(-1e6, 1e6), max_size=40))]
+    ok = bool(cells)
+    for i, bad in draw(st.lists(st.tuples(st.integers(0, 39), st.sampled_from(
+            ("nan", "inf", "-inf", "", "abc", "1,2"))), max_size=2)):
+        if i < len(cells):
+            cells[i] = bad
+            ok = False
+    rows = "".join(f"{0.1 * k:.6f},{c}\n" for k, c in enumerate(cells))
+    return "# series\nt [s],tower_moment [N*m]\n" + rows, ok
+
+
+def _assert_outputs_sound(out: Path):
+    """Every number in every CSV a successful command wrote is finite, and
+    campaign case ids are unique."""
+    for path in out.glob("*.csv"):
+        rows = _read_rows(path)
+        for row in rows[1:]:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path.name, row)
+        if path.name == "campaign.csv":
+            ids = [row[0] for row in rows[1:]]
+            assert len(set(ids)) == len(ids), ids
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["tune", "analyze", "simulate", "bode",
+                                "fatigue", "campaign"]),
+       text=_fuzz_config(), series=_fuzz_series())
+def test_main_returns_0_or_2_and_never_raises(command, text, series):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.ini"
         cfg.write_text(text)
+        series_file = Path(tmp) / "series.csv"
+        series_file.write_text(series[0])
+        out = Path(tmp) / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "fatigue":
+            argv.append(str(series_file))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert main([command, "--config", str(cfg), "--out", tmp]) in (0, 2)
+            rc = main(argv)
+        assert rc in (0, 2)
+        if command == "fatigue" and not series[1]:
+            assert rc == 2
+        if rc == 0:
+            _assert_outputs_sound(out)
+
+
+def test_scipy_loads_only_for_the_exact_method(tmp_path):
+    """`import fowtctl.cli` and the tune, rk4 simulate and fatigue commands
+    leave scipy unloaded; an exact simulation loads it."""
+    rk4 = _cfg(tmp_path, SIM, name="rk4.ini")
+    exact = _cfg(tmp_path, SIM.replace("duration = 60",
+                                       "duration = 60\nmethod = exact"),
+                 name="exact.ini")
+    out = str(tmp_path / "o")
+    series = str(tmp_path / "o" / "timeseries.csv")
+    script = f"""
+import sys
+import fowtctl
+from fowtctl.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not loaded(), ("import", loaded())
+for argv in ({["tune", "--config", rk4, "--out", out]!r},
+             {["simulate", "--config", rk4, "--out", out]!r},
+             {["fatigue", "--config", rk4, "--out", out, series]!r}):
+    assert main(argv) == 0
+    assert not loaded(), (argv[0], loaded())
+assert main({["simulate", "--config", exact, "--out", out]!r}) == 0
+assert "scipy.linalg" in sys.modules
+"""
+    src = str(Path(fowtctl.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

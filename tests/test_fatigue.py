@@ -13,11 +13,52 @@ from fowtctl.fatigue import (Cycle, WohlerCurve, damage_equivalent_load,
 EXAMPLE = [-2.0, 1.0, -3.0, 5.0, -1.0, 3.0, -4.0, 4.0, -2.0]
 
 
-def test_cycle_validation():
-    with pytest.raises(ParameterError):
-        Cycle(range=-1.0, mean=0.0, count=1.0)
-    with pytest.raises(ParameterError):
-        Cycle(range=1.0, mean=0.0, count=0.25)
+def _turning_points_loop(signal, hysteresis=0.0):
+    """Per-sample reference: keep a sample where the slope from the last
+    kept point changes sign, drop flat repeats, then merge moves smaller
+    than the hysteresis onto the more extreme point."""
+    x = [float(v) for v in signal]
+    if len(x) < 2:
+        return np.array(x)
+    keep = [x[0]]
+    for i in range(1, len(x) - 1):
+        if (x[i] - keep[-1]) * (x[i + 1] - x[i]) < 0.0:
+            keep.append(x[i])
+    keep.append(x[-1])
+    pts = [keep[0]] + [b for a, b in zip(keep, keep[1:]) if b != a]
+    if hysteresis > 0.0 and len(pts) > 2:
+        merged = [pts[0]]
+        for p in pts[1:]:
+            if abs(p - merged[-1]) >= hysteresis:
+                merged.append(p)
+            elif len(merged) > 1 and (merged[-1] - merged[-2]) * (p - merged[-1]) > 0.0:
+                merged[-1] = p
+        pts = merged
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_turning_points_match_the_per_sample_loop(seed):
+    rng = np.random.default_rng(seed)
+    # coarse rounding makes plateaus, repeated extrema and equal neighbours
+    x = np.round(np.cumsum(rng.standard_normal(rng.integers(2, 400))), 0)
+    for hyst in (0.0, 0.5, 1.0, 2.5):
+        assert np.array_equal(turning_points(x, hysteresis=hyst),
+                              _turning_points_loop(x, hyst))
+
+
+@given(st.lists(st.integers(-6, 6), max_size=60),
+       st.sampled_from([0.0, 0.1]))
+@settings(max_examples=200, deadline=None)
+def test_rainflow_cycles_are_valid_and_conserve_counts(steps, frac):
+    # small integer steps: plateaus, repeated levels and equal ranges
+    sig = np.cumsum(np.array(steps, dtype=float) / 2.0)
+    cycles = rainflow(sig, hysteresis_frac=frac)
+    assert isinstance(cycles, list)
+    assert all(c.count in (0.5, 1.0) and c.range > 0.0 for c in cycles)
+    if frac == 0.0:
+        n_tp = len(turning_points(sig))
+        assert sum(c.count for c in cycles) == max(n_tp - 1, 0) / 2.0
 
 
 def test_turning_points_basic():

@@ -1,16 +1,21 @@
+import csv
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
-from fowtctl.sim import (DisturbanceSpec, TimeSeries, build_inputs, free_decay,
-                         jonswap_spectrum, jonswap_wave, simulate)
+from fowtctl.sim import (DisturbanceSpec, TimeSeries, build_inputs, csv_cell,
+                         free_decay, jonswap_spectrum, jonswap_wave, simulate,
+                         write_csv)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 
@@ -48,6 +53,45 @@ def test_timeseries_csv_round_trip(tmp_path):
     assert back.dt == pytest.approx(0.1)
     assert back.units["a"] == "m"
     np.testing.assert_allclose(back.channels["a"], ts.channels["a"])
+
+
+def test_write_csv_golden_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["fowtctl 1.0.0", "seed=none"], ["t [s]", "x [m]"],
+              "%.6f,%.12g", [(0.0, -0.0), (0.05, 1e-300),
+                             (1.0 / 3.0, 12345678901234567.0),
+                             (2.5, 0.30000000000000004)])
+    assert path.read_bytes() == (
+        b"# fowtctl 1.0.0\n# seed=none\n"
+        b"t [s],x [m]\r\n"
+        b"0.000000,-0\r\n"
+        b"0.050000,1e-300\r\n"
+        b"0.333333,1.23456789012e+16\r\n"
+        b"2.500000,0.3\r\n")
+
+
+def test_csv_cell_quotes_like_the_csv_module():
+    for text in ("plain", "a,b", 'say "hi"', "two\nlines", ""):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, "x"])
+        assert csv_cell(text) + ",x\r\n" == buf.getvalue()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_FINITE, min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_from_csv_parses_printed_floats_bit_equal(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("csv") / "s.csv"
+    short = ["%.12g" % v for v in values]
+    full = [repr(v) for v in values]
+    path.write_text("# comment\nt [s],a [m],b [m]\n" + "".join(
+        f"{0.1 * k:.6f},{s},{f}\n" for k, (s, f) in enumerate(zip(short, full))))
+    back = TimeSeries.from_csv(path)
+    for name, texts in (("a", short), ("b", full)):
+        want = np.array([float(t) for t in texts])
+        assert back.channels[name].tobytes() == want.tobytes()
 
 
 # --- disturbances ------------------------------------------------------
