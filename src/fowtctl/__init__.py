@@ -4,12 +4,10 @@ time- and frequency-domain simulation, and rainflow fatigue
 post-processing.
 """
 
-from .errors import (ConfigError, FowtctlError, GainSingularityError,
-                     NearPoleError, ParameterError)
+from .errors import ConfigError, FowtctlError, GainSingularityError, ParameterError
 from .fatigue import (Cycle, WohlerCurve, damage_equivalent_load,
                       miner_damage, rainflow, turning_points)
-from .freq import (FrequencyResponse, bode_gplt, bode_grot, damped_band,
-                   default_grid, eval_G)
+from .freq import FrequencyResponse, bode_gplt, bode_grot, damped_band, default_grid
 from .gains import (PlatformTarget, RotorTarget, kbeta_reference,
                     kbeta_zeta_fixed, ktaug, synthesize, tune_pi)
 from .model import (AeroSensitivities, ControlGains, StateSpace,
@@ -36,11 +34,9 @@ __all__ = [
     "rotor_summary", "platform_summary",
     "TimeSeries", "DisturbanceSpec", "FreeDecayResult",
     "jonswap_spectrum", "jonswap_wave", "simulate", "free_decay",
-    "FrequencyResponse", "eval_G", "default_grid", "bode_gplt", "bode_grot",
-    "damped_band",
+    "FrequencyResponse", "default_grid", "bode_gplt", "bode_grot", "damped_band",
     "Cycle", "WohlerCurve", "turning_points", "rainflow",
     "damage_equivalent_load", "miner_damage",
-    "FowtctlError", "ParameterError", "GainSingularityError",
-    "NearPoleError", "ConfigError",
+    "FowtctlError", "ParameterError", "GainSingularityError", "ConfigError",
     "__version__",
 ]

@@ -11,20 +11,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import FatigueSettings, RunConfig, export_gains, load_run_config
+from .config import (FatigueSettings, RunConfig, export_gains, load_run_config,
+                     load_sensitivities)
 from .errors import FowtctlError
 from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
                       rainflow)
 from .freq import bode_gplt, bode_grot, damped_band, default_grid
 from .gains import RotorTarget, synthesize
-from .model import ControlGains, build_open_loop, close_loop
+from .model import ControlGains, StateSpace, build_open_loop, close_loop
 from .sim import _UNITS, TimeSeries, csv_cell, simulate, write_csv, write_header
 from .stability import (modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
@@ -117,15 +117,17 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_simulation(cfg: RunConfig, gains: ControlGains) -> TimeSeries:
+def _run_simulation(cfg: RunConfig,
+                    gains: ControlGains) -> tuple[StateSpace, TimeSeries]:
+    """The closed loop under gains, and its simulation."""
     ss = close_loop(build_open_loop(cfg.params, cfg.sens), gains)
-    return simulate(ss, gains, cfg.params, cfg.sens, cfg.disturbances,
-                    dt=cfg.dt, t_end=cfg.duration, method=cfg.method)
+    return ss, simulate(ss, gains, cfg.params, cfg.sens, cfg.disturbances,
+                        dt=cfg.dt, t_end=cfg.duration, method=cfg.method)
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     gains = _resolve_gains(cfg)
-    ts = _run_simulation(cfg, gains)
+    _, ts = _run_simulation(cfg, gains)
     path = out / "timeseries.csv"
     header = _header(cfg)
     if "diverged_at" in ts.meta:
@@ -193,67 +195,46 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
     return 0
 
 
-@dataclass
-class CaseResult:
-    case_id: str
-    wind_speed: float
-    strategy: str
-    gains: ControlGains
-    stable: bool
-    diverged: bool
-    stats: dict[str, tuple[float, float, float, float]]  # min, mean, max, std
-    del_tower: float
-    damage_tower: float
-
-
-def _campaign_case(cfg: RunConfig, speed: float, strategy: tuple[str, float | None],
-                   case_seed: int | None) -> CaseResult:
-    from .config import load_sensitivities
-
+def _campaign_case(cfg: RunConfig, speed: float,
+                   strategy: tuple[str, float | None], case_seed: int | None):
+    """One campaign.csv row: synthesized gains, stability, statistics and
+    tower fatigue of one (speed, strategy) simulation."""
     kind, zeta = strategy
     sens = cfg.sens
     if speed in cfg.campaign_sens:
         sens, _ = load_sensitivities(cfg.campaign_sens[speed], cfg.search_dir)
-    gains = synthesize(cfg.params, sens,
-                       RotorTarget(zeta_rot=cfg.zeta_rot, nu_rot=cfg.nu_rot),
-                       strategy=kind, zeta_plt=zeta, m_taug=cfg.m_taug)
     disturbances = [replace(spec, seed=case_seed) if spec.kind == "jonswap-wave"
                     else spec for spec in cfg.disturbances]
-    ss = close_loop(build_open_loop(cfg.params, sens), gains)
-    ts = simulate(ss, gains, cfg.params, sens, disturbances,
-                  dt=cfg.dt, t_end=cfg.duration, method=cfg.method)
+    case = replace(cfg, sens=sens, strategy=kind, zeta_plt=zeta,
+                   gains_override=None, disturbances=disturbances)
+    gains = _resolve_gains(case)
+    ss, ts = _run_simulation(case, gains)
     diverged = "diverged_at" in ts.meta
     t_skip = cfg.transient if cfg.transient < cfg.duration else 0.0
     post = ts.window(t_skip) if not diverged else ts
-    stats = {}
+    stats = []
     for name in STAT_CHANNELS:
         ch = post.channels[name]
-        stats[name] = (float(np.min(ch)), float(np.mean(ch)),
-                       float(np.max(ch)), float(np.std(ch)))
+        stats += [float(np.min(ch)), float(np.mean(ch)),
+                  float(np.max(ch)), float(np.std(ch))]
     _, del_tower, damage = _evaluate_fatigue(post.channels["tower_moment"],
                                              cfg.fatigue)
     label = kind if zeta is None else f"{kind}:{zeta:g}"
-    return CaseResult(
-        case_id=f"ws{speed:g}_{label}", wind_speed=speed, strategy=label,
-        gains=gains, stable=modal_report(ss.closed).stable, diverged=diverged,
-        stats=stats, del_tower=del_tower, damage_tower=damage)
+    return (f"ws{speed:g}_{label}", speed, label,
+            gains.kp, gains.ki, gains.kbeta, gains.ktaug,
+            str(modal_report(ss.closed).stable).lower(), str(diverged).lower(),
+            *stats, del_tower, damage)
 
 
-def cmd_campaign(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
+def cmd_campaign(cfg: RunConfig, out: Path) -> int:
     if not cfg.campaign_speeds or not cfg.campaign_strategies:
         raise FowtctlError("campaign needs [campaign] wind_speeds and strategies")
     grid = [(speed, strat) for speed in cfg.campaign_speeds
             for strat in cfg.campaign_strategies]
     seeds = [None if cfg.seed is None else cfg.seed + i for i in range(len(grid))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_campaign_case, [cfg] * len(grid),
-                                    [g[0] for g in grid], [g[1] for g in grid],
-                                    seeds))
-    else:
-        results = [_campaign_case(cfg, s, st, sd)
-                   for (s, st), sd in zip(grid, seeds)]
-    results.sort(key=lambda r: (r.wind_speed, r.strategy))
+    rows = sorted((_campaign_case(cfg, speed, strat, seed)
+                   for (speed, strat), seed in zip(grid, seeds)),
+                  key=lambda row: (row[1], row[2]))  # speed, then strategy
 
     head = ["case_id", "wind_speed [m/s]", "strategy",
             "kp [s]", "ki [-]", "kbeta [rad*s/rad]", "ktaug [N*m*s/rad]",
@@ -263,16 +244,11 @@ def cmd_campaign(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
     head += ["del_tower [N*m]", "damage_tower [-]"]
     fmt = ("%s,%g,%s" + ",%.12g" * 4 + ",%s,%s"
            + ",%.12g" * (4 * len(STAT_CHANNELS) + 2))
-    rows = [(r.case_id, r.wind_speed, r.strategy,
-             r.gains.kp, r.gains.ki, r.gains.kbeta, r.gains.ktaug,
-             str(r.stable).lower(), str(r.diverged).lower(),
-             *(v for name in STAT_CHANNELS for v in r.stats[name]),
-             r.del_tower, r.damage_tower)
-            for r in results]
     path = out / "campaign.csv"
     write_csv(path, _header(cfg), head, fmt, rows)
-    n_div = sum(r.diverged for r in results)
-    print(f"wrote {path} ({len(results)} cases, {n_div} diverged)")
+    col = head.index("diverged")
+    n_div = sum(row[col] == "true" for row in rows)
+    print(f"wrote {path} ({len(rows)} cases, {n_div} diverged)")
     return 0
 
 
@@ -305,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--channel", default="tower_moment")
         if name == "campaign":
             p.add_argument("--jobs", type=int, default=1,
-                           help="parallel worker processes")
+                           help="accepted for compatibility; the cases run "
+                                "one after another in one process")
     return parser
 
 
@@ -333,7 +310,7 @@ def main(argv=None) -> int:
         if args.command == "fatigue":
             return cmd_fatigue(cfg, out, args.series, channel=args.channel)
         if args.command == "campaign":
-            return cmd_campaign(cfg, out, jobs=args.jobs)
+            return cmd_campaign(cfg, out)
         raise FowtctlError(f"unknown command {args.command!r}")
     except FowtctlError as exc:
         print(f"error: {exc}", file=sys.stderr)

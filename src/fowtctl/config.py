@@ -253,16 +253,13 @@ def load_run_config(path, search_dir=None) -> RunConfig:
             if seed is None:
                 raise ConfigError("stochastic disturbance needs a seed "
                                   "([run] seed or per-disturbance)")
+        values = {key: _get(sec, key, default) for key, default in
+                  (("amplitude", 0.0), ("period", 0.0), ("onset", 0.0),
+                   ("hs", 0.0), ("gamma", 1.0))}
+        for key, value in values.items():
+            _require(math.isfinite(value), key, f"[{name}]", value, "finite")
         cfg.disturbances.append(DisturbanceSpec(
-            kind=kind,
-            amplitude=_get(sec, "amplitude", 0.0),
-            period=_get(sec, "period", 0.0),
-            onset=_get(sec, "onset", 0.0),
-            hs=_get(sec, "hs", 0.0),
-            gamma=_get(sec, "gamma", 1.0),
-            seed=seed,
-            path=sec.get("path", None),
-        ))
+            kind=kind, seed=seed, path=sec.get("path", None), **values))
     if stochastic and cfg.seed is None:
         raise ConfigError("[run] seed is mandatory with stochastic disturbances")
 
@@ -319,10 +316,3 @@ def export_gains(gains: ControlGains, path, header_lines=None):
         fh.write(f"ki = {gains.ki!r}\n")
         fh.write(f"kbeta = {gains.kbeta!r}\n")
         fh.write(f"ktaug = {gains.ktaug!r}\n")
-
-
-def import_gains(path) -> ControlGains:
-    cp = _read_ini(Path(path))
-    g = cp["gains"]
-    return ControlGains(kp=g.getfloat("kp"), ki=g.getfloat("ki"),
-                        kbeta=g.getfloat("kbeta"), ktaug=g.getfloat("ktaug"))

@@ -13,9 +13,5 @@ class GainSingularityError(FowtctlError, ZeroDivisionError):
     """A gain formula divides by a vanishing sensitivity or lever arm."""
 
 
-class NearPoleError(FowtctlError, ValueError):
-    """Frequency-response evaluation requested too close to a pole."""
-
-
 class ConfigError(FowtctlError, ValueError):
     """A run configuration file is missing keys or references."""

@@ -1,8 +1,7 @@
-"""Frequency-domain evaluation: full transfer matrix and reduced filters.
+"""Frequency-domain evaluation of the reduced filters.
 
-The full 4x4 transfer matrix is (sI - A)^-1 [Bc | Bd].  The reduced
-rotor (band-pass) and platform (low-pass) filters come from the
-decoupled second-order forms and are what the Bode sweep emits.
+The reduced rotor (band-pass) and platform (low-pass) filters come from
+the decoupled second-order forms and are what the Bode sweep emits.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearPoleError, ParameterError
-from .model import AeroSensitivities, StateSpace, StructuralParams
+from .errors import ParameterError
+from .model import AeroSensitivities, StructuralParams
 from .stability import platform_summary, rotor_summary
 
 
@@ -34,20 +33,6 @@ class FrequencyResponse:
             raise ParameterError("frequency grid must be strictly increasing")
         if not np.all(np.isfinite(self.magnitude)):
             raise ParameterError("magnitude not finite on grid (pole on grid?)")
-
-
-def eval_G(ss: StateSpace, s: complex) -> np.ndarray:
-    """Entrywise (sI - A)^-1 [Bc | Bd] at one complex frequency.
-
-    Input ordering: (beta_ol, tau_g_ol, v, w).  Raises NearPoleError if
-    s sits within 1e-9 (relative) of an eigenvalue of A.
-    """
-    a = ss.closed
-    eigs = np.linalg.eigvals(a)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(eigs))))
-    if np.min(np.abs(eigs - s)) < tol:
-        raise NearPoleError(f"s = {s} is within {tol:.2e} of a pole")
-    return np.linalg.solve(s * np.eye(4) - a, ss.b_full())
 
 
 def default_grid(params: StructuralParams, n: int = 400) -> np.ndarray:

@@ -4,9 +4,9 @@ Disturbances (blade-pitch steps, wind steps, monochromatic and JONSWAP
 waves, wind files) are combined into one input sampler u(tt); the linear
 closed loop is integrated with classical RK4 or with the exact
 zero-order-hold discretization, both run as one affine recurrence
-x[k+1] = P x[k] + f[k] on inputs sampled once per stage time.  The free
-response behind the log-decrement damping estimate runs on the same
-recurrence with zero forcing.
+x[k+1] = P x[k] + f[k], evaluated as a blocked scan, on inputs sampled
+once per stage time.  The free response behind the log-decrement
+damping estimate runs on the same recurrence with zero forcing.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-# numpy loads these submodules lazily.  Importing them here, at start-up,
-# lets the workers `campaign` forks inherit them instead of each paying
-# the import.
+# numpy loads these submodules lazily.  Importing them here puts their
+# cost in start-up, with the rest of numpy, rather than in the first
+# wave a command synthesizes.
 from numpy.fft import irfft, rfftfreq
 from numpy.random import default_rng
 
@@ -315,19 +315,62 @@ def _one_step_map(a: np.ndarray, b: np.ndarray, dt: float, method: str):
     return p, [(0.0, g0), (0.5, g_half), (1.0, g1)]
 
 
+_BLOCK = 64
+_POWER_LIMIT = 1e100
+
+
+def _powers(p: np.ndarray) -> np.ndarray:
+    """P^1 .. P^b stacked: the longest run of powers, at most _BLOCK,
+    whose entries all stay below _POWER_LIMIT (P itself is always kept)."""
+    pw = [p]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(pw) < _BLOCK:
+            nxt = pw[-1] @ p
+            if not np.abs(nxt).max() < _POWER_LIMIT:
+                break
+            pw.append(nxt)
+    return np.array(pw)
+
+
 def _recur(p: np.ndarray, f: np.ndarray, x0: np.ndarray):
     """States of x[k+1] = P x[k] + f[k] from x[0] = x0, cut after the
     first state that overflows or leaves the divergence ball.
 
+    Runs as a blocked scan over blocks of b steps (b from _powers).  In
+    block j, y[i] = sum_{m<=i} P^(i-m) f[jb+m] is the state after step i
+    from rest, found by a doubling scan; only the block starts are then
+    stepped, and x[jb+i+1] = P^(i+1) x[jb] + y[i].  A kept state is at
+    most 1e12 and every power below 1e100, so no term of a kept sample
+    overflows where the per-step loop would not.
+
     Returns (states, diverged).  The recurrence is causal, so running on
     past a blow-up (under errstate) and cutting afterwards keeps every
     earlier sample."""
-    states = np.empty((len(f) + 1, len(x0)))
+    pw = _powers(p)
+    b, m = pw.shape[:2]
+    n = len(f)
+    nb = -(-n // b)
+    # y[i, j] is step i of block j; the padding past step n is dropped.
+    # Every product below is one (nb, m) @ (m, m) or (m, m) @ (m, nb)
+    # per row of a stack, small enough for BLAS to keep on one thread;
+    # one product over all blocks is split over threads on long runs,
+    # which costs CPU and saves no wall time.
+    y = np.zeros((nb * b, m))
+    y[:n] = f
+    y = y.reshape(nb, b, m).transpose(1, 0, 2).copy()
+    states = np.empty((n + 1, m))
     states[0] = x = x0
+    starts = np.empty((nb, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(f)):
-            x = p @ x + f[k]
-            states[k + 1] = x
+        d = 1
+        while d < b:
+            y[d:] += y[:-d] @ pw[d - 1].T
+            d *= 2
+        for j, end in enumerate(y[-1]):
+            starts[j] = x
+            x = pw[-1] @ x + end
+        y += (pw @ starts.T).transpose(0, 2, 1)
+        states[1:] = y.transpose(1, 0, 2).reshape(nb * b, m)[:n]
         bad = ~np.isfinite(states[1:]).all(axis=1)
         bad |= np.linalg.norm(states[1:], axis=1) > _DIVERGENCE_NORM
     if bad.any():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import fowtctl
 from fowtctl.cli import main
-from fowtctl.config import _data_dir, import_gains
+from fowtctl.config import _data_dir, load_run_config
 from fowtctl.sim import TimeSeries
 
 BASE = """
@@ -63,7 +63,9 @@ def _read_rows(path):
 def test_tune_writes_importable_gains(tmp_path, capsys):
     cfg = _cfg(tmp_path, BASE)
     assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    gains = import_gains(tmp_path / "o" / "gains.ini")
+    exported = (tmp_path / "o" / "gains.ini").read_text()
+    gains = load_run_config(
+        _cfg(tmp_path, BASE + exported, "with-gains.ini")).gains_override
     assert gains.kp == pytest.approx(-0.359736733973185, rel=1e-12)
     assert gains.ki == pytest.approx(2.0742012684134593e-4, rel=1e-12)
     assert gains.kbeta == pytest.approx(2.089164091413599, rel=1e-12)
@@ -204,6 +206,9 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
     *[("simulation", k, "abc") for k in ("dt", "duration", "transient")],
     *[("disturbance.d", k, "x")
       for k in ("seed", "amplitude", "period", "onset", "hs", "gamma")],
+    *[("disturbance.d", k, v)
+      for k in ("amplitude", "period", "onset", "hs", "gamma")
+      for v in ("nan", "inf", "-inf")],
     *[("fatigue", k, "x")
       for k in ("m1", "m2", "knee", "stress_knee", "section_modulus",
                 "n_ref", "lifetime_scale", "hysteresis_frac")],
@@ -454,6 +459,17 @@ def test_main_returns_0_or_2_and_never_raises(command, text, series):
             _assert_outputs_sound(out)
 
 
+def _run_python(script: str, env: dict | None = None):
+    """script in a fresh interpreter that imports this fowtctl; env, if
+    given, replaces the inherited environment."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(fowtctl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_scipy_loads_only_for_the_exact_method(tmp_path):
     """`import fowtctl.cli` and the tune, rk4 simulate and fatigue commands
     leave scipy unloaded; an exact simulation loads it."""
@@ -463,7 +479,7 @@ def test_scipy_loads_only_for_the_exact_method(tmp_path):
                  name="exact.ini")
     out = str(tmp_path / "o")
     series = str(tmp_path / "o" / "timeseries.csv")
-    script = f"""
+    _run_python(f"""
 import sys
 import fowtctl
 from fowtctl.cli import main
@@ -479,10 +495,39 @@ for argv in ({["tune", "--config", rk4, "--out", out]!r},
     assert not loaded(), (argv[0], loaded())
 assert main({["simulate", "--config", exact, "--out", out]!r}) == 0
 assert "scipy.linalg" in sys.modules
-"""
-    src = str(Path(fowtctl.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+""")
+
+
+def test_campaign_runs_in_one_process(tmp_path):
+    cfg = _cfg(tmp_path, SIM + """
+[campaign]
+wind_speeds = 11, 22
+strategies = none, reference
+""")
+    argv = ["campaign", "--config", cfg, "--out", str(tmp_path / "o"),
+            "--jobs", "2"]
+    _run_python(f"""
+import sys
+from fowtctl.cli import main
+
+assert main({argv!r}) == 0
+pools = [m for m in ("multiprocessing", "concurrent.futures.process")
+         if m in sys.modules]
+assert not pools, pools
+""")
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 40 000 steps: one product over all blocks at once would be large
+    # enough for OpenBLAS to split it over threads
+    cfg = _cfg(tmp_path, SIM.replace("duration = 60", "duration = 2000")
+               + "\n[disturbance.step]\nkind = step-wind\namplitude = 1\n"
+               "onset = 100\n")
+    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for name, env in (("default", default),
+                      ("one", {**default, "OPENBLAS_NUM_THREADS": "1"})):
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / name)]
+        _run_python(f"from fowtctl.cli import main\nassert main({argv!r}) == 0\n",
+                    env)
+    assert (tmp_path / "default" / "timeseries.csv").read_bytes() == \
+        (tmp_path / "one" / "timeseries.csv").read_bytes()

@@ -3,35 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fowtctl.errors import NearPoleError, ParameterError
+from fowtctl.errors import ParameterError
 from fowtctl.freq import (FrequencyResponse, bode_gplt, bode_grot,
-                          damped_band, default_grid, eval_G)
+                          damped_band, default_grid)
 from fowtctl.gains import RotorTarget, synthesize
-from fowtctl.model import build_open_loop, close_loop
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
-
-
-@pytest.fixture
-def closed_t1f(params, sens_t1f):
-    gains = synthesize(params, sens_t1f, RotorTarget(0.6, 0.01),
-                       strategy="zeta-fixed", zeta_plt=0.1)
-    return close_loop(build_open_loop(params, sens_t1f), gains)
-
-
-def test_eval_G_matches_direct_solve(closed_t1f):
-    s = 0.3j
-    g = eval_G(closed_t1f, s)
-    ref = np.linalg.solve(s * np.eye(4) - closed_t1f.closed,
-                          closed_t1f.b_full())
-    np.testing.assert_allclose(g, ref, rtol=1e-12)
-    assert g.shape == (4, 4)
-
-
-def test_eval_G_near_pole_raises(closed_t1f):
-    pole = np.linalg.eigvals(closed_t1f.closed)[0]
-    with pytest.raises(NearPoleError):
-        eval_G(closed_t1f, complex(pole))
 
 
 def test_default_grid_span(params):

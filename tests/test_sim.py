@@ -13,9 +13,9 @@ from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
-from fowtctl.sim import (DisturbanceSpec, TimeSeries, build_inputs, csv_cell,
-                         free_decay, jonswap_spectrum, jonswap_wave, simulate,
-                         write_csv)
+from fowtctl.sim import (_BLOCK, DisturbanceSpec, TimeSeries, _recur,
+                         build_inputs, csv_cell, free_decay, jonswap_spectrum,
+                         jonswap_wave, simulate, write_csv)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 
@@ -248,6 +248,46 @@ def test_divergence_matches_per_step_check(params, sens_t1f, method):
     assert ts.meta["diverged_at"] == 18.05
     assert len(ts) == 362
     _assert_states_match(ts, _reference_states(ss, specs, 0.05, 18.05, method))
+
+
+def _per_step_recur(p, f, x0):
+    """_recur's contract as a loop over steps: the states, cut after the
+    first one that is non-finite or has norm > 1e12."""
+    states = [np.asarray(x0, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fk in f:
+            x = p @ states[-1] + fk
+            states.append(x)
+            if not np.linalg.norm(x) <= 1e12:  # also false for nan and inf
+                return np.array(states), True
+    return np.array(states), False
+
+
+def test_recur_matches_per_step_loop():
+    """The blocked scan against the per-step loop on random P, from
+    strongly stable to explosive, under forcing that starts late."""
+    rng = np.random.default_rng(2024)
+    n_cut = 0
+    for case in range(135):
+        p = rng.standard_normal((4, 4))
+        if case % 2:
+            # spectral radius 0.05 .. 1.02 on a random, non-normal P
+            p *= rng.uniform(0.05, 1.02) / np.max(np.abs(np.linalg.eigvals(p)))
+        else:
+            p *= 10.0 ** rng.uniform(-2.0, 8.0)  # entries up to about 1e8
+        n = _BLOCK * int(rng.integers(1, 25)) + int(rng.integers(1, _BLOCK))
+        f = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, 4)
+        f[:int(n * rng.uniform(0.5, 0.95))] = 0.0
+        x0 = np.zeros(4) if case % 3 else rng.standard_normal(4)
+        got, got_cut = _recur(p, f, x0)
+        want, want_cut = _per_step_recur(p, f, x0)
+        assert (got_cut, len(got)) == (want_cut, len(want)), case
+        kept = len(want) - 1 if want_cut else len(want)
+        n_cut += want_cut
+        peak = np.max(np.abs(want[:kept]), axis=0)
+        err = np.max(np.abs(got[:kept] - want[:kept]), axis=0)
+        assert np.all(err <= 1e-10 * peak), (case, err, peak)
+    assert 20 < n_cut < 115  # both outcomes are exercised
 
 
 def test_simulate_divergence_truncates_and_flags(params, sens_t1f):
