@@ -5,7 +5,7 @@ post-processing.
 """
 
 from .errors import ConfigError, FowtctlError, GainSingularityError, ParameterError
-from .fatigue import (Cycle, WohlerCurve, damage_equivalent_load,
+from .fatigue import (Cycle, Cycles, WohlerCurve, damage_equivalent_load,
                       miner_damage, rainflow, turning_points)
 from .freq import FrequencyResponse, bode_gplt, bode_grot, damped_band, default_grid
 from .gains import (PlatformTarget, RotorTarget, kbeta_reference,
@@ -35,7 +35,7 @@ __all__ = [
     "TimeSeries", "DisturbanceSpec", "FreeDecayResult",
     "jonswap_spectrum", "jonswap_wave", "simulate", "free_decay",
     "FrequencyResponse", "default_grid", "bode_gplt", "bode_grot", "damped_band",
-    "Cycle", "WohlerCurve", "turning_points", "rainflow",
+    "Cycle", "Cycles", "WohlerCurve", "turning_points", "rainflow",
     "damage_equivalent_load", "miner_damage",
     "FowtctlError", "ParameterError", "GainSingularityError", "ConfigError",
     "__version__",

@@ -169,7 +169,7 @@ def _evaluate_fatigue(signal, fs: FatigueSettings):
     cycles = rainflow(signal, hysteresis_frac=fs.hysteresis_frac)
     curve = WohlerCurve(kind=fs.curve_kind, m1=fs.m1, m2=fs.m2,
                         knee=fs.knee, stress_knee=fs.stress_knee)
-    del_value = damage_equivalent_load(cycles, fs.m1, fs.n_ref) if cycles else 0.0
+    del_value = damage_equivalent_load(cycles, fs.m1, fs.n_ref)
     damage = miner_damage(cycles, curve, fs.section_modulus, fs.lifetime_scale)
     return cycles, del_value, damage
 
@@ -181,9 +181,11 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
         raise FowtctlError(f"channel {channel!r} not in {series_file} "
                            f"(has {sorted(ts.channels)})")
     cycles, del_value, damage = _evaluate_fatigue(ts.channels[channel], cfg.fatigue)
-    n_cycles = sum(c.count for c in cycles)
+    n_cycles = float(np.sum(cycles.count))
     write_csv(out / "cycles.csv", _header(cfg),
-              ["range [N*m]", "mean [N*m]", "count [-]"], "%.12g,%.12g,%g", cycles)
+              ["range [N*m]", "mean [N*m]", "count [-]"], "%.12g,%.12g,%g",
+              zip(cycles.range.tolist(), cycles.mean.tolist(),
+                  cycles.count.tolist()))
     write_csv(out / "fatigue_summary.csv", _header(cfg), ["quantity", "value"],
               "%s,%s",
               [("channel", csv_cell(channel)),

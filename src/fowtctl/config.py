@@ -240,6 +240,8 @@ def load_run_config(path, search_dir=None) -> RunConfig:
             value = getattr(cfg, key)
             _require(0.0 < value < math.inf, key, "[simulation]", value,
                      "finite and > 0")
+        _require(0.0 <= cfg.transient < math.inf, "transient", "[simulation]",
+                 cfg.transient, "finite and >= 0")
 
     stochastic = False
     for name in sorted(s for s in cp.sections() if s.startswith("disturbance")):

@@ -8,7 +8,6 @@ space and continuous at the knee.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,6 +23,24 @@ class Cycle(NamedTuple):
     range: float
     mean: float
     count: float
+
+
+@dataclass(frozen=True, eq=False)  # == on array fields has no truth value
+class Cycles:
+    """Counted cycles as three equal-length float columns in counting
+    order: range > 0, the mean of the range's endpoints, and count 0.5
+    (half cycle) or 1.  Iterating yields one `Cycle` per row."""
+
+    range: np.ndarray
+    mean: np.ndarray
+    count: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def __iter__(self):
+        return map(Cycle, self.range.tolist(), self.mean.tolist(),
+                   self.count.tolist())
 
 
 def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
@@ -46,17 +63,23 @@ def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
     if hysteresis <= 0.0 or x.size <= 2:
         return x
     pts = x.tolist()
-    kept = pts[:1]
+    kept: list[float] = []
+    # the last two kept points stay in locals, `last` not yet in `kept`;
+    # prev is nan until a second point is kept, and a product with nan is
+    # never > 0, so nothing merges into the first point
+    prev, last = math.nan, pts[0]
     for p in pts[1:]:
-        if abs(p - kept[-1]) >= hysteresis:
-            kept.append(p)
-        elif len(kept) > 1 and (kept[-1] - kept[-2]) * (p - kept[-1]) > 0.0:
+        if abs(p - last) >= hysteresis:
+            kept.append(last)
+            prev, last = last, p
+        elif (last - prev) * (p - last) > 0.0:
             # keep the more extreme of the merged pair
-            kept[-1] = p
+            last = p
+    kept.append(last)
     return np.array(kept)
 
 
-def rainflow(signal, hysteresis_frac: float = 0.0) -> list[Cycle]:
+def rainflow(signal, hysteresis_frac: float = 0.0) -> Cycles:
     """Rainflow decomposition of a load history.
 
     hysteresis_frac discards turning-point moves smaller than that
@@ -65,55 +88,52 @@ def rainflow(signal, hysteresis_frac: float = 0.0) -> list[Cycle]:
     """
     x = np.asarray(signal, dtype=float)
     if x.size < 2:
-        return []
+        return Cycles(np.zeros(0), np.zeros(0), np.zeros(0))
     hyst = 0.0
     if hysteresis_frac > 0.0:
         hyst = hysteresis_frac * float(np.ptp(x))
-    ranges: list[float] = []
-    means: list[float] = []
-    counts: list[float] = []
+    # counted pair i runs from lo[i] to hi[i] in history order; `half`
+    # holds the indices of the pairs that contained the starting point
+    lo: list[float] = []
+    hi: list[float] = []
+    half: list[int] = []
     stack: list[float] = []
     start = 0  # stack index of the history's current starting point
     for p in turning_points(x, hysteresis=hyst).tolist():
         stack.append(p)
-        while len(stack) - start >= 3:
-            rng_x = abs(stack[-1] - stack[-2])
-            rng_y = abs(stack[-2] - stack[-3])
-            if rng_x < rng_y:
+        n = len(stack) - start
+        while n >= 3:
+            a, b = stack[-3], stack[-2]
+            if abs(p - b) < abs(b - a):
                 break
-            ranges.append(rng_y)
-            means.append(0.5 * (stack[-3] + stack[-2]))
-            if len(stack) - start == 3:
+            lo.append(a)
+            hi.append(b)
+            if n == 3:
                 # Y contains the starting point: half cycle, then the
                 # start moves one point forward
-                counts.append(0.5)
+                half.append(len(lo) - 1)
                 start += 1
-            else:
-                counts.append(1.0)
-                del stack[-3:-1]
+                break
+            del stack[-3:-1]
+            n -= 2
+    n_stack = len(lo)
     rest = stack[start:]
-    for a, b in zip(rest, rest[1:]):
-        ranges.append(abs(b - a))
-        means.append(0.5 * (a + b))
-        counts.append(0.5)
-    return [c for c in map(Cycle, ranges, means, counts) if c.range > 0.0]
+    lo_a = np.array(lo + rest[:-1])
+    hi_a = np.array(hi + rest[1:])
+    ranges = np.abs(hi_a - lo_a)
+    counts = np.ones(ranges.size)
+    counts[half] = 0.5
+    counts[n_stack:] = 0.5  # the residual
+    keep = ranges > 0.0
+    return Cycles(ranges[keep], (0.5 * (lo_a + hi_a))[keep], counts[keep])
 
 
-def _ranges_counts(cycles) -> tuple[np.ndarray, np.ndarray]:
-    """The range and count columns of a cycle list."""
-    n = len(cycles)
-    table = np.fromiter(itertools.chain.from_iterable(cycles), float,
-                        3 * n).reshape(n, 3)
-    return table[:, 0], table[:, 2]
-
-
-def damage_equivalent_load(cycles, m: float, n_ref: float) -> float:
+def damage_equivalent_load(cycles: Cycles, m: float, n_ref: float) -> float:
     """Constant-amplitude range giving, over n_ref cycles, the same
     m-th-power damage sum as the counted spectrum."""
     if m <= 0.0 or n_ref <= 0.0:
         raise ParameterError("m and n_ref must be > 0")
-    ranges, counts = _ranges_counts(cycles)
-    acc = float(np.sum(counts * ranges ** m))
+    acc = float(np.sum(cycles.count * cycles.range ** m))
     return (acc / n_ref) ** (1.0 / m)
 
 
@@ -148,13 +168,12 @@ class WohlerCurve:
         return np.where(s > 0.0, n_fail, math.inf)[()]  # scalar in, scalar out
 
 
-def miner_damage(cycles, curve: WohlerCurve, section_modulus: float,
+def miner_damage(cycles: Cycles, curve: WohlerCurve, section_modulus: float,
                  lifetime_scale: float = 1.0) -> float:
     """Linear damage accumulation: lifetime_scale * sum(count / N(range/W))."""
     if section_modulus <= 0.0:
         raise ParameterError(f"section modulus must be > 0 (got {section_modulus})")
     if lifetime_scale < 0.0:
         raise ParameterError(f"lifetime_scale must be >= 0 (got {lifetime_scale})")
-    ranges, counts = _ranges_counts(cycles)
-    n_fail = curve.cycles_to_failure(ranges / section_modulus)
-    return lifetime_scale * float(np.sum(counts / n_fail))
+    n_fail = curve.cycles_to_failure(cycles.range / section_modulus)
+    return lifetime_scale * float(np.sum(cycles.count / n_fail))

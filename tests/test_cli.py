@@ -204,6 +204,7 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
     *[("strategy", k, "x") for k in ("zeta", "m_taug")],
     *[("gains", k, "x") for k in ("kp", "ki", "kbeta", "ktaug")],
     *[("simulation", k, "abc") for k in ("dt", "duration", "transient")],
+    *[("simulation", "transient", v) for v in ("nan", "inf", "-5")],
     *[("disturbance.d", k, "x")
       for k in ("seed", "amplitude", "period", "onset", "hs", "gamma")],
     *[("disturbance.d", k, v)

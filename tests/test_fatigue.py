@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fowtctl.errors import ParameterError
-from fowtctl.fatigue import (Cycle, WohlerCurve, damage_equivalent_load,
+from fowtctl.fatigue import (Cycle, Cycles, WohlerCurve, damage_equivalent_load,
                              miner_damage, rainflow, turning_points)
 
 # classical nine-point worked example used to validate rainflow counters
@@ -47,6 +47,85 @@ def test_turning_points_match_the_per_sample_loop(seed):
                               _turning_points_loop(x, hyst))
 
 
+def _rainflow_per_cycle(signal, hysteresis_frac=0.0):
+    """Per-cycle reference: the stack loop that builds one Cycle per
+    counted pair, in counting order."""
+    x = np.asarray(signal, dtype=float)
+    if x.size < 2:
+        return []
+    hyst = 0.0
+    if hysteresis_frac > 0.0:
+        hyst = hysteresis_frac * float(np.ptp(x))
+    ranges, means, counts = [], [], []
+    stack = []
+    start = 0
+    for p in turning_points(x, hysteresis=hyst).tolist():
+        stack.append(p)
+        while len(stack) - start >= 3:
+            rng_x = abs(stack[-1] - stack[-2])
+            rng_y = abs(stack[-2] - stack[-3])
+            if rng_x < rng_y:
+                break
+            ranges.append(rng_y)
+            means.append(0.5 * (stack[-3] + stack[-2]))
+            if len(stack) - start == 3:
+                counts.append(0.5)
+                start += 1
+            else:
+                counts.append(1.0)
+                del stack[-3:-1]
+    rest = stack[start:]
+    for a, b in zip(rest, rest[1:]):
+        ranges.append(abs(b - a))
+        means.append(0.5 * (a + b))
+        counts.append(0.5)
+    return [c for c in map(Cycle, ranges, means, counts) if c.range > 0.0]
+
+
+def _assert_same_cycles(cycles, ref):
+    """Columns equal to the reference bit for bit and in order, and
+    iteration yields the reference's Cycle rows."""
+    assert isinstance(cycles, Cycles) and len(cycles) == len(ref)
+    for name in Cycle._fields:
+        column = getattr(cycles, name)
+        assert column.dtype == np.float64 and column.shape == (len(ref),)
+        assert column.tobytes() == np.array([getattr(c, name) for c in ref],
+                                            dtype=float).tobytes()
+    assert list(cycles) == ref
+
+
+def _alternates(pts):
+    d = np.diff(pts)
+    return bool(np.all(d[1:] * d[:-1] < 0.0))
+
+
+@given(st.lists(st.one_of(st.integers(-6, 6).map(float),
+                          st.floats(-6.0, 6.0)), max_size=80),
+       st.sampled_from([0.0, 0.02, 0.1, 0.3]))
+@example([0.0, 10.0, -0.2, 10.2], 0.05)  # merged points do not alternate
+@settings(max_examples=300, deadline=None)
+def test_rainflow_columns_match_the_per_cycle_reference(steps, frac):
+    sig = np.cumsum(np.array(steps, dtype=float))
+    _assert_same_cycles(rainflow(sig, hysteresis_frac=frac),
+                        _rainflow_per_cycle(sig, frac))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rainflow_columns_match_the_per_cycle_reference_on_long_series(seed):
+    # a mean-reverting walk, as in the benchmark's fatigue series; with
+    # the default hysteresis its merged points do not all alternate
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(20_000)
+    x = np.empty_like(e)
+    x[0] = e[0]
+    for i in range(1, x.size):
+        x[i] = 0.998 * x[i - 1] + e[i]
+    assert not _alternates(turning_points(x, 1e-3 * float(np.ptp(x))))
+    for frac in (0.0, 1e-3, 1e-2):
+        _assert_same_cycles(rainflow(x, hysteresis_frac=frac),
+                            _rainflow_per_cycle(x, frac))
+
+
 @given(st.lists(st.integers(-6, 6), max_size=60),
        st.sampled_from([0.0, 0.1]))
 @settings(max_examples=200, deadline=None)
@@ -54,11 +133,22 @@ def test_rainflow_cycles_are_valid_and_conserve_counts(steps, frac):
     # small integer steps: plateaus, repeated levels and equal ranges
     sig = np.cumsum(np.array(steps, dtype=float) / 2.0)
     cycles = rainflow(sig, hysteresis_frac=frac)
-    assert isinstance(cycles, list)
-    assert all(c.count in (0.5, 1.0) and c.range > 0.0 for c in cycles)
+    assert len(cycles) == cycles.range.size == cycles.mean.size
+    assert np.all((cycles.count == 0.5) | (cycles.count == 1.0))
+    assert np.all(cycles.range > 0.0)
     if frac == 0.0:
         n_tp = len(turning_points(sig))
-        assert sum(c.count for c in cycles) == max(n_tp - 1, 0) / 2.0
+        assert cycles.count.sum() == max(n_tp - 1, 0) / 2.0
+
+
+@pytest.mark.xfail(strict=True, reason="the hysteresis merge appends the "
+                   "next same-direction move instead of merging it, so a "
+                   "non-extremum is kept")
+def test_hysteresis_merge_keeps_only_extrema():
+    # the 9.8 dip is below the hysteresis (1.0) and is dropped; 10 is then
+    # no longer an extremum, so 0 -> 20 is one half cycle of range 20
+    cycles = rainflow([0.0, 10.0, 9.8, 20.0], hysteresis_frac=0.05)
+    assert list(cycles) == [Cycle(range=20.0, mean=10.0, count=0.5)]
 
 
 def test_turning_points_basic():
@@ -108,8 +198,8 @@ def test_rainflow_single_period_cosine():
 
 
 def test_rainflow_short_or_flat_signals():
-    assert rainflow([1.0]) == []
-    assert rainflow([2.0, 2.0, 2.0]) == []
+    assert len(rainflow([1.0])) == 0
+    assert len(rainflow([2.0, 2.0, 2.0])) == 0
 
 
 def test_rainflow_hysteresis_filter_drops_small_cycles():
@@ -129,7 +219,8 @@ def test_del_worked_example():
 
 
 def test_del_single_cycle_identity():
-    cycles = [Cycle(range=9.0, mean=0.0, count=1.0)]
+    cycles = Cycles(range=np.array([9.0]), mean=np.array([0.0]),
+                    count=np.array([1.0]))
     assert damage_equivalent_load(cycles, 3.0, 1.0) == pytest.approx(9.0)
 
 
@@ -185,7 +276,8 @@ def test_wohler_validation():
 
 def test_miner_damage_single_bin():
     curve = WohlerCurve(kind="single", m1=3.0, stress_knee=5e7)
-    cycles = [Cycle(range=5e7 * 6.5, mean=0.0, count=1.0)] * 10
+    cycles = Cycles(range=np.full(10, 5e7 * 6.5), mean=np.zeros(10),
+                    count=np.ones(10))
     # range/W lands exactly on the knee stress
     assert miner_damage(cycles, curve, section_modulus=6.5) == pytest.approx(
         10.0 / 1e6, rel=1e-12)
