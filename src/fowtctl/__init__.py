@@ -15,8 +15,7 @@ from .model import (AeroSensitivities, ControlGains, StateSpace,
 from .sim import (DisturbanceSpec, FreeDecayResult, TimeSeries, free_decay,
                   jonswap_spectrum, jonswap_wave, simulate)
 from .stability import (Mode, ModalReport, ModeSummary, NmpzBoundaryWarning,
-                        Polynomial, RootConvergenceError, modal_report,
-                        nmpz_omega_condition, nmpz_phi_condition,
+                        modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
                         rotor_summary)
 
@@ -27,8 +26,7 @@ __all__ = [
     "build_open_loop", "close_loop",
     "RotorTarget", "PlatformTarget",
     "tune_pi", "kbeta_zeta_fixed", "kbeta_reference", "ktaug", "synthesize",
-    "Polynomial", "Mode", "ModalReport", "ModeSummary",
-    "NmpzBoundaryWarning", "RootConvergenceError",
+    "Mode", "ModalReport", "ModeSummary", "NmpzBoundaryWarning",
     "nmpz_phi_condition", "nmpz_omega_condition",
     "numerator_phi", "numerator_omega", "modal_report",
     "rotor_summary", "platform_summary",

@@ -100,9 +100,9 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
         fh.write(f"verdict = {verdict}\n")
     rows = [("nmpz_phi_condition", str(phi_cond).lower()),
             ("nmpz_omega_condition", str(omega_cond).lower())]
-    for i, r in enumerate(np.sort_complex(n_phi.roots())):
+    for i, r in enumerate(np.sort_complex(np.roots(n_phi))):
         rows.append((f"numerator_phi_root_{i}", f"{r:.12g}"))
-    for i, r in enumerate(np.sort_complex(n_omega.roots())):
+    for i, r in enumerate(np.sort_complex(np.roots(n_omega))):
         rows.append((f"numerator_omega_root_{i}", f"{r:.12g}"))
     for i, lam in enumerate(report.eigenvalues):
         rows.append((f"eigenvalue_{i}", f"{lam:.12g}"))

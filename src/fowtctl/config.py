@@ -131,7 +131,7 @@ def load_sensitivities(name_or_sec, search_dir=None) -> tuple[AeroSensitivities,
 class FatigueSettings:
     curve_kind: str = "single"
     m1: float = 3.0
-    m2: float | None = 5.0
+    m2: float = 5.0
     knee: float = 1e6
     stress_knee: float = 5.0e7   # Pa
     section_modulus: float = 6.5  # m^3, tower-base design value
@@ -242,6 +242,8 @@ def load_run_config(path, search_dir=None) -> RunConfig:
                      "finite and > 0")
         _require(0.0 <= cfg.transient < math.inf, "transient", "[simulation]",
                  cfg.transient, "finite and >= 0")
+        _require(cfg.method in ("rk4", "exact"), "method", "[simulation]",
+                 cfg.method, "rk4 or exact")
 
     stochastic = False
     for name in sorted(s for s in cp.sections() if s.startswith("disturbance")):
@@ -269,8 +271,10 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         sec = cp["fatigue"]
         fs = cfg.fatigue
         fs.curve_kind = sec.get("curve", fs.curve_kind)
+        _require(fs.curve_kind in ("single", "bilinear"), "curve", "[fatigue]",
+                 fs.curve_kind, "single or bilinear")
         fs.m1 = _get(sec, "m1", fs.m1)
-        fs.m2 = _get(sec, "m2", fs.m2 if fs.m2 is not None else 5.0)
+        fs.m2 = _get(sec, "m2", fs.m2)
         fs.knee = _get(sec, "knee", fs.knee)
         fs.stress_knee = _get(sec, "stress_knee", fs.stress_knee)
         fs.section_modulus = _get(sec, "section_modulus", fs.section_modulus)

@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-STATE_NAMES = ("theta", "omega", "phi", "phidot")
-CONTROL_NAMES = ("beta", "tau_g")
-DISTURBANCE_NAMES = ("v", "w")
-
 
 def _require_finite(obj, names):
     for name in names:

@@ -14,77 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FowtctlError, GainSingularityError
+from .errors import GainSingularityError
 from .model import AeroSensitivities, StructuralParams
 
 #: relative distance to the strict-inequality boundary below which a
 #: warning is emitted (the boundary itself is classified as no-NMPZ)
 BOUNDARY_RTOL = 1e-9
 
-#: polished-root residual, relative to the coefficient scale, above which
-#: Polynomial.roots raises RootConvergenceError
-_ROOT_RTOL = 1e-10
-
 
 class NmpzBoundaryWarning(UserWarning):
     """The operating point sits numerically on an NMPZ boundary."""
-
-
-class RootConvergenceError(FowtctlError, ArithmeticError):
-    """Polynomial root refinement failed to reach the residual tolerance."""
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial, coefficients ascending in s."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.coeffs)
-        while len(c) > 1 and c[-1] == 0.0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, s):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
-
-    def deriv(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-    def roots(self) -> np.ndarray:
-        """Roots via companion-matrix eigensolve, one Newton polish step.
-
-        Raises RootConvergenceError if the polished residual exceeds
-        _ROOT_RTOL relative to the coefficient scale.
-        """
-        if self.degree == 0:
-            return np.array([], dtype=complex)
-        r = np.roots(self.coeffs[::-1]).astype(complex)
-        dp = self.deriv()
-        for i, x in enumerate(r):
-            d = dp(x)
-            if d != 0.0:
-                step = self(x) / d
-                if abs(step) < 1.0 + abs(x):  # keep polish local
-                    r[i] = x - step
-        scale = max(abs(c) * max(1.0, abs(x)) ** k
-                    for x in r for k, c in enumerate(self.coeffs))
-        worst = max(abs(self(x)) for x in r)
-        if scale > 0.0 and worst > _ROOT_RTOL * scale * self.degree * 10.0:
-            raise RootConvergenceError(
-                f"root residual {worst:.3e} above tolerance "
-                f"(scale {scale:.3e}, rtol {_ROOT_RTOL:g})")
-        return r
 
 
 @dataclass(frozen=True)
@@ -151,19 +90,25 @@ def nmpz_omega_condition(params: StructuralParams, sens: AeroSensitivities,
     return c2 / c3 < 0.0
 
 
-def numerator_phi(params: StructuralParams, sens: AeroSensitivities) -> Polynomial:
-    """Numerator of the blade-pitch -> platform-pitch transfer entry:
+def numerator_phi(params: StructuralParams, sens: AeroSensitivities) -> np.ndarray:
+    """Coefficients, highest power first, of the numerator of the
+    blade-pitch -> platform-pitch transfer entry:
     (jr/ng) dfa_dbeta s^2 + (dta_dbeta dfa_domega - dfa_dbeta dta_domega) s.
     """
     a2 = params.jr / params.ng * sens.dfa_dbeta
     a1 = sens.dta_dbeta * sens.dfa_domega - sens.dfa_dbeta * sens.dta_domega
-    return Polynomial((0.0, a1, a2))
+    return np.array([a2, a1, 0.0])
 
 
 def numerator_omega(params: StructuralParams, sens: AeroSensitivities,
-                    ktaug: float = 0.0) -> Polynomial:
-    """Numerator of the blade-pitch -> rotor-speed transfer entry, a
-    cubic with zero constant term."""
+                    ktaug: float = 0.0) -> np.ndarray:
+    """Coefficients, highest power first, of the numerator of the
+    blade-pitch -> rotor-speed transfer entry, the cubic
+    (jt/ht) dta_dbeta s^3
+    + ((dt/ht) dta_dbeta + ht (dta_dbeta dfa_dv - dfa_dbeta dta_dv)
+       - ktaug ng dfa_dbeta) s^2
+    + (kt/ht) dta_dbeta s.
+    """
     if params.ht == 0.0:
         raise GainSingularityError("ht = 0: channel numerator undefined")
     tb, fb = sens.dta_dbeta, sens.dfa_dbeta
@@ -172,7 +117,7 @@ def numerator_omega(params: StructuralParams, sens: AeroSensitivities,
           + params.ht * (tb * sens.dfa_dv - fb * sens.dta_dv)
           - ktaug * params.ng * fb)
     a1 = params.kt / params.ht * tb
-    return Polynomial((0.0, a1, a2, a3))
+    return np.array([a3, a2, a1, 0.0])
 
 
 def modal_report(a: np.ndarray) -> ModalReport:
@@ -182,19 +127,14 @@ def modal_report(a: np.ndarray) -> ModalReport:
     order = sorted(range(len(roots)), key=lambda i: (abs(roots[i]), roots[i].imag))
     roots = roots[order]
     modes = []
-    seen_conj = set()
-    for i, lam in enumerate(roots):
-        if i in seen_conj:
-            continue
+    for lam in roots:
         oscillatory = abs(lam.imag) > 1e-12 * max(1.0, abs(lam))
         if oscillatory:
-            # pair up the conjugate so each pair reports once
-            j = min((k for k in range(len(roots)) if k != i and k not in seen_conj
-                     and abs(roots[k] - lam.conjugate()) <= 1e-8 * max(1.0, abs(lam))),
-                    default=None)
-            if j is not None:
-                seen_conj.add(j)
-            lam = complex(lam.real, abs(lam.imag))
+            # eigvals gives exact conjugate pairs, and the sort puts the
+            # imag < 0 member first: it reports the pair
+            if lam.imag > 0.0:
+                continue
+            lam = complex(lam.real, -lam.imag)
         nu = abs(lam)
         zeta = -lam.real / nu if nu > 0.0 else math.inf
         modes.append(Mode(eigenvalue=lam, nu=nu, zeta=zeta, oscillatory=oscillatory))

@@ -87,10 +87,10 @@ def test_condition_root_sign_equivalence(params):
             )
             ktg = float(rng.choice([0.0, -rng.uniform(1e7, 1e9)]))
             phi_ok = nmpz_phi_condition(sens) == any(
-                r.real > 1e-12 for r in numerator_phi(params, sens).roots())
+                r.real > 1e-12 for r in np.roots(numerator_phi(params, sens)))
             om_ok = nmpz_omega_condition(params, sens, ktg) == any(
                 r.real > 1e-12
-                for r in numerator_omega(params, sens, ktg).roots())
+                for r in np.roots(numerator_omega(params, sens, ktg)))
             agree += phi_ok and om_ok
     elapsed = time.perf_counter() - start
     ok = agree == n and elapsed < 10.0

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fowtctl
-from fowtctl.cli import main
+from fowtctl.cli import _resolve_gains, main
 from fowtctl.config import _data_dir, load_run_config
 from fowtctl.sim import TimeSeries
+from fowtctl.stability import numerator_omega, numerator_phi
 
 BASE = """
 [structure]
@@ -74,14 +75,32 @@ def test_tune_writes_importable_gains(tmp_path, capsys):
 
 
 def test_analyze_reports_conditions(tmp_path, capsys):
-    cfg = _cfg(tmp_path, BASE)
-    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    text = (tmp_path / "o" / "analysis.txt").read_text()
-    assert "nmpz_phi_condition = false" in text
-    assert "nmpz_omega_condition = false" in text
-    assert "verdict = stable" in text
-    rows = dict((r[0], r[1]) for r in _read_rows(tmp_path / "o" / "analysis.csv")[1:])
-    assert rows["stable"] == "true"
+    # table1-false: neither NMPZ condition holds; table3-both: both hold
+    for sens, expected in (("table1-false", "false"), ("table3-both", "true")):
+        cfg = _cfg(tmp_path, BASE.replace("table1-false", sens), f"{sens}.ini")
+        out = tmp_path / sens
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "analysis.txt").read_text()
+        assert f"nmpz_phi_condition = {expected}" in text
+        assert f"nmpz_omega_condition = {expected}" in text
+        assert "verdict = stable" in text
+        rows = dict((r[0], r[1]) for r in _read_rows(out / "analysis.csv")[1:])
+        assert rows["stable"] == "true"
+        # the printed zeros are those of the numerator coefficient arrays,
+        # and a channel has an RHP zero exactly when its condition holds
+        run = load_run_config(cfg)
+        ktaug = _resolve_gains(run).ktaug
+        for name, coeffs, n_rhp in (
+                ("phi", numerator_phi(run.params, run.sens), 1),
+                ("omega", numerator_omega(run.params, run.sens, ktaug), 2)):
+            printed = [v for k, v in rows.items()
+                       if k.startswith(f"numerator_{name}_root_")]
+            assert printed == [f"{r:.12g}"
+                               for r in np.sort_complex(np.roots(coeffs))]
+            assert len(printed) == len(coeffs) - 1
+            roots = np.array([complex(v) for v in printed])
+            nonzero = roots[roots != 0.0]
+            assert np.sum(nonzero.real > 0.0) == (n_rhp if expected == "true" else 0)
 
 
 def test_simulate_output_round_trips(tmp_path):
@@ -223,6 +242,8 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
       for v in ("nan", "12, inf", "0", "-3", "12, 12", "12, 12.0")],
     ("campaign", "strategies", "none, zeta-fixed:abc"),
     ("campaign", "sens.abc", "table1-true"),
+    ("simulation", "method", "bogus"),
+    ("fatigue", "curve", "bogus"),
 ])
 def test_malformed_number_is_reported_not_raised(tmp_path, capsys,
                                                  section, key, value):
@@ -472,8 +493,9 @@ def _run_python(script: str, env: dict | None = None):
 
 
 def test_scipy_loads_only_for_the_exact_method(tmp_path):
-    """`import fowtctl.cli` and the tune, rk4 simulate and fatigue commands
-    leave scipy unloaded; an exact simulation loads it."""
+    """`import fowtctl.cli` and the tune, analyze, rk4 simulate and fatigue
+    commands leave scipy and numpy.polynomial unloaded; an exact
+    simulation loads scipy."""
     rk4 = _cfg(tmp_path, SIM, name="rk4.ini")
     exact = _cfg(tmp_path, SIM.replace("duration = 60",
                                        "duration = 60\nmethod = exact"),
@@ -486,10 +508,12 @@ import fowtctl
 from fowtctl.cli import main
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m.startswith("numpy.polynomial"))
 
 assert not loaded(), ("import", loaded())
 for argv in ({["tune", "--config", rk4, "--out", out]!r},
+             {["analyze", "--config", rk4, "--out", out]!r},
              {["simulate", "--config", rk4, "--out", out]!r},
              {["fatigue", "--config", rk4, "--out", out, series]!r}):
     assert main(argv) == 0

@@ -10,36 +10,12 @@ from fowtctl.errors import GainSingularityError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
                            build_open_loop, close_loop)
-from fowtctl.stability import (NmpzBoundaryWarning, Polynomial,
-                               modal_report, nmpz_omega_condition,
-                               nmpz_phi_condition, numerator_omega,
-                               numerator_phi, platform_summary, rotor_summary)
+from fowtctl.stability import (NmpzBoundaryWarning, modal_report,
+                               nmpz_omega_condition, nmpz_phi_condition,
+                               numerator_omega, numerator_phi,
+                               platform_summary, rotor_summary)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
-
-
-# --- polynomial helper -------------------------------------------------
-
-def test_polynomial_eval_and_deriv():
-    p = Polynomial((6.0, -5.0, 1.0))  # (s-2)(s-3)
-    assert p(0.0) == 6.0
-    assert p(2.0) == 0.0
-    assert p.deriv().coeffs == (-5.0, 2.0)
-    assert p.degree == 2
-
-
-def test_polynomial_trims_leading_zeros():
-    p = Polynomial((1.0, 2.0, 0.0, 0.0))
-    assert p.coeffs == (1.0, 2.0)
-
-
-def test_polynomial_roots_known():
-    r = np.sort_complex(Polynomial((6.0, -5.0, 1.0)).roots())
-    np.testing.assert_allclose(r, [2.0, 3.0], rtol=1e-12)
-
-
-def test_polynomial_degree_zero_has_no_roots():
-    assert Polynomial((3.0,)).roots().size == 0
 
 
 def test_char_poly_matches_factored_closed_form(params, sens_t1f):
@@ -112,22 +88,43 @@ def test_condition_singularities(params):
 
 def test_numerator_phi_root_signs(params, sens_t1f, sens_t1t):
     # the nonzero root is the ratio of the two coefficients
-    r_false = numerator_phi(params, sens_t1f)
-    r_true = numerator_phi(params, sens_t1t)
-    roots_false = [r for r in r_false.roots() if abs(r) > 1e-12]
-    roots_true = [r for r in r_true.roots() if abs(r) > 1e-12]
+    r_false = np.roots(numerator_phi(params, sens_t1f))
+    r_true = np.roots(numerator_phi(params, sens_t1t))
+    roots_false = [r for r in r_false if abs(r) > 1e-12]
+    roots_true = [r for r in r_true if abs(r) > 1e-12]
     assert roots_false[0].real == pytest.approx(-0.015500954287743831, rel=1e-9)
     assert roots_true[0].real == pytest.approx(0.017660010493222952, rel=1e-9)
 
 
 def test_numerator_omega_root_signs(params, sens_t2f, sens_t2t):
-    quad_false = [r for r in numerator_omega(params, sens_t2f).roots()
+    quad_false = [r for r in np.roots(numerator_omega(params, sens_t2f))
                   if abs(r) > 1e-12]
-    quad_true = [r for r in numerator_omega(params, sens_t2t).roots()
+    quad_true = [r for r in np.roots(numerator_omega(params, sens_t2t))
                  if abs(r) > 1e-12]
     assert all(r.real < 0.0 for r in quad_false)
     assert all(r.real > 0.0 for r in quad_true)
     assert quad_true[0].real == pytest.approx(0.0030654, rel=1e-3)
+
+
+@pytest.mark.parametrize("ktg", [0.0, -3e8])
+def test_numerators_are_the_model_channel_numerators(params, sens_t1f, sens_t3,
+                                                     ktg):
+    """With tau_g = ktaug * phidot, the beta -> phi and beta -> omega
+    numerators c adj(sI - A) b of the state-space model equal the
+    returned coefficient arrays up to a constant factor."""
+    for sens in (sens_t1f, sens_t3):
+        ss = build_open_loop(params, sens)
+        a = ss.a0 + np.outer(ss.bc[:, 1], [0.0, 0.0, 0.0, ktg])
+        b = ss.bc[:, 0]
+        for state, coeffs in ((2, numerator_phi(params, sens)),
+                              (1, numerator_omega(params, sens, ktg))):
+            c = np.eye(4)[state]
+            # det(sI - A + b c) - det(sI - A) = c adj(sI - A) b
+            model = (np.poly(a - np.outer(b, c)) - np.poly(a))[1:]
+            ours = np.pad(coeffs, (len(model) - len(coeffs), 0))
+            i = np.argmax(np.abs(ours))
+            np.testing.assert_allclose(model / model[i], ours / ours[i],
+                                       rtol=1e-9, atol=1e-9)
 
 
 def test_numerator_omega_needs_lever_arm(sens_t2t):
@@ -154,8 +151,8 @@ def test_conditions_match_numerator_root_signs(params):
     for _ in range(300):
         sens = _random_admissible(rng)
         ktg = float(rng.choice([0.0, -rng.uniform(1e7, 1e9)]))
-        phi_roots = numerator_phi(params, sens).roots()
-        om_roots = numerator_omega(params, sens, ktg).roots()
+        phi_roots = np.roots(numerator_phi(params, sens))
+        om_roots = np.roots(numerator_omega(params, sens, ktg))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NmpzBoundaryWarning)
             assert nmpz_phi_condition(sens) == any(
@@ -193,6 +190,17 @@ def test_modal_report_pairs_conjugates():
     mode = report.modes[0]
     assert mode.nu == pytest.approx(2.0, rel=1e-9)
     assert mode.zeta == pytest.approx(0.1, rel=1e-9)
+
+
+def test_modal_report_keeps_sort_order_for_pairs_of_equal_modulus():
+    # two pairs with |lambda| = 2: the pair whose imag < 0 member sorts
+    # first (the larger |imag|) reports first
+    a = np.zeros((4, 4))
+    a[:2, :2] = [[0.0, 1.0], [-4.0, -0.4]]
+    a[2:, 2:] = [[0.0, 1.0], [-4.0, -0.8]]
+    report = modal_report(a)
+    assert [m.zeta for m in report.modes] == pytest.approx([0.1, 0.2], rel=1e-9)
+    assert all(m.eigenvalue.imag > 0.0 for m in report.modes)
 
 
 # --- reduced summaries -------------------------------------------------
