@@ -18,13 +18,14 @@ import numpy as np
 
 from . import __version__
 from .config import (FatigueSettings, RunConfig, export_gains, load_run_config,
-                     load_sensitivities)
+                     load_sensitivities, strategy_label)
 from .errors import FowtctlError
 from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
                       rainflow)
 from .freq import bode_gplt, bode_grot, damped_band, default_grid
 from .gains import RotorTarget, synthesize
-from .model import ControlGains, StateSpace, build_open_loop, close_loop
+from .model import (AeroSensitivities, ControlGains, StateSpace,
+                    build_open_loop, close_loop)
 from .sim import _UNITS, TimeSeries, csv_cell, simulate, write_csv, write_header
 from .stability import (modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
@@ -197,14 +198,11 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
     return 0
 
 
-def _campaign_case(cfg: RunConfig, speed: float,
+def _campaign_case(cfg: RunConfig, speed: float, sens: AeroSensitivities,
                    strategy: tuple[str, float | None], case_seed: int | None):
     """One campaign.csv row: synthesized gains, stability, statistics and
-    tower fatigue of one (speed, strategy) simulation."""
+    tower fatigue of one (speed, strategy) simulation under sens."""
     kind, zeta = strategy
-    sens = cfg.sens
-    if speed in cfg.campaign_sens:
-        sens, _ = load_sensitivities(cfg.campaign_sens[speed], cfg.search_dir)
     disturbances = [replace(spec, seed=case_seed) if spec.kind == "jonswap-wave"
                     else spec for spec in cfg.disturbances]
     case = replace(cfg, sens=sens, strategy=kind, zeta_plt=zeta,
@@ -221,7 +219,7 @@ def _campaign_case(cfg: RunConfig, speed: float,
                   float(np.max(ch)), float(np.std(ch))]
     _, del_tower, damage = _evaluate_fatigue(post.channels["tower_moment"],
                                              cfg.fatigue)
-    label = kind if zeta is None else f"{kind}:{zeta:g}"
+    label = strategy_label(strategy)
     return (f"ws{speed:g}_{label}", speed, label,
             gains.kp, gains.ki, gains.kbeta, gains.ktaug,
             str(modal_report(ss.closed).stable).lower(), str(diverged).lower(),
@@ -231,10 +229,17 @@ def _campaign_case(cfg: RunConfig, speed: float,
 def cmd_campaign(cfg: RunConfig, out: Path) -> int:
     if not cfg.campaign_speeds or not cfg.campaign_strategies:
         raise FowtctlError("campaign needs [campaign] wind_speeds and strategies")
+    # each set a speed of the grid names is loaded once, in config order,
+    # so a missing or broken set ends the command before any case runs
+    names = dict.fromkeys(name for speed, name in cfg.campaign_sens.items()
+                          if speed in cfg.campaign_speeds)
+    loaded = {name: load_sensitivities(name, cfg.search_dir)[0] for name in names}
+    sens = {speed: loaded[cfg.campaign_sens[speed]] if speed in cfg.campaign_sens
+            else cfg.sens for speed in cfg.campaign_speeds}
     grid = [(speed, strat) for speed in cfg.campaign_speeds
             for strat in cfg.campaign_strategies]
     seeds = [None if cfg.seed is None else cfg.seed + i for i in range(len(grid))]
-    rows = sorted((_campaign_case(cfg, speed, strat, seed)
+    rows = sorted((_campaign_case(cfg, speed, sens[speed], strat, seed)
                    for (speed, strat), seed in zip(grid, seeds)),
                   key=lambda row: (row[1], row[2]))  # speed, then strategy
 

@@ -170,15 +170,24 @@ class RunConfig:
 
 
 def _parse_strategy(text: str) -> tuple[str, float | None]:
+    """One [campaign] strategies entry: none, reference or zeta-fixed:<zeta>."""
     text = text.strip()
-    if text.startswith("zeta-fixed"):
-        _, _, arg = text.partition(":")
-        if not arg:
-            raise ConfigError("zeta-fixed strategy needs a value, e.g. zeta-fixed:0.10")
-        return "zeta-fixed", _number(arg, "strategies", "[campaign]")
-    if text in ("reference", "none"):
-        return text, None
-    raise ConfigError(f"unknown strategy {text!r}")
+    kind, colon, arg = text.partition(":")
+    kind = kind.strip()
+    if kind == "zeta-fixed" and arg.strip():
+        zeta = _number(arg, "strategies", "[campaign]")
+        _require(0.0 < zeta < math.inf, "strategies", "[campaign]", text,
+                 "zeta-fixed:<zeta> with zeta finite and > 0")
+        return kind, zeta
+    _require(kind in ("reference", "none") and not colon, "strategies",
+             "[campaign]", text, "none, reference or zeta-fixed:<zeta>")
+    return kind, None
+
+
+def strategy_label(strategy: tuple[str, float | None]) -> str:
+    """A campaign strategy as campaign.csv prints it: kind, or kind:%g."""
+    kind, zeta = strategy
+    return kind if zeta is None else f"{kind}:{zeta:g}"
 
 
 def load_run_config(path, search_dir=None) -> RunConfig:
@@ -305,6 +314,10 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         if "strategies" in sec:
             cfg.campaign_strategies = [_parse_strategy(s)
                                        for s in sec["strategies"].split(",") if s.strip()]
+            # the printed label names the case, so it must be unique too
+            labels = [strategy_label(s) for s in cfg.campaign_strategies]
+            _require(len(set(labels)) == len(labels), "strategies",
+                     "[campaign]", sec["strategies"], "unique")
         for key, value in sec.items():
             if key.startswith("sens."):
                 speed = _number(key.split(".", 1)[1], key, "[campaign]")

@@ -321,15 +321,16 @@ _POWER_LIMIT = 1e100
 
 def _powers(p: np.ndarray) -> np.ndarray:
     """P^1 .. P^b stacked: the longest run of powers, at most _BLOCK,
-    whose entries all stay below _POWER_LIMIT (P itself is always kept)."""
-    pw = [p]
+    whose entries all stay below _POWER_LIMIT (P itself is always kept).
+    All _BLOCK powers are formed first, and the run is cut after them
+    with one reduction; the powers past an overflow are never kept."""
+    pw = np.empty((_BLOCK, *p.shape))
+    pw[0] = p
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(pw) < _BLOCK:
-            nxt = pw[-1] @ p
-            if not np.abs(nxt).max() < _POWER_LIMIT:
-                break
-            pw.append(nxt)
-    return np.array(pw)
+        for k in range(1, _BLOCK):
+            pw[k] = pw[k - 1] @ p
+        big = ~(np.abs(pw[1:]).max(axis=(1, 2)) < _POWER_LIMIT)
+    return pw[:1 + int(np.argmax(big))] if big.any() else pw
 
 
 def _recur(p: np.ndarray, f: np.ndarray, x0: np.ndarray):
@@ -371,8 +372,9 @@ def _recur(p: np.ndarray, f: np.ndarray, x0: np.ndarray):
             x = pw[-1] @ x + end
         y += (pw @ starts.T).transpose(0, 2, 1)
         states[1:] = y.transpose(1, 0, 2).reshape(nb * b, m)[:n]
-        bad = ~np.isfinite(states[1:]).all(axis=1)
-        bad |= np.linalg.norm(states[1:], axis=1) > _DIVERGENCE_NORM
+        # one pass: nan and inf fail the comparison as well
+        s = states[1:]
+        bad = ~(np.sqrt(np.einsum("ij,ij->i", s, s)) <= _DIVERGENCE_NORM)
     if bad.any():
         return states[:int(np.argmax(bad)) + 2], True
     return states, False

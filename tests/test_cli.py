@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fowtctl
+from fowtctl import cli
 from fowtctl.cli import _resolve_gains, main
 from fowtctl.config import _data_dir, load_run_config
 from fowtctl.sim import TimeSeries
@@ -241,6 +242,10 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
     *[("campaign", "wind_speeds", v)
       for v in ("nan", "12, inf", "0", "-3", "12, 12", "12, 12.0")],
     ("campaign", "strategies", "none, zeta-fixed:abc"),
+    *[("campaign", "strategies", v)
+      for v in ("none, none", "zeta-fixed:0.1, zeta-fixed:0.10",
+                "zeta-fixed:nan", "zeta-fixed:inf", "zeta-fixed:0",
+                "zeta-fixed:-1", "bogus", "zeta-fixedfoo:0.1")],
     ("campaign", "sens.abc", "table1-true"),
     ("simulation", "method", "bogus"),
     ("fatigue", "curve", "bogus"),
@@ -307,6 +312,51 @@ sens.22 = {}
                      "--params-dir", str(tmp_path / "params")]) == 0
         rows[name] = _read_rows(tmp_path / name / "campaign.csv")
     assert rows["custom"] == rows["table2-true"]
+
+
+def _counting(monkeypatch, name):
+    """Replace cli.<name> with a wrapper; returns the list of the
+    positional arguments of every call."""
+    calls, fn = [], getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def test_campaign_loads_each_set_once(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, "load_sensitivities")
+    cfg = _cfg(tmp_path, SIM + """
+[campaign]
+wind_speeds = 12, 16, 20
+strategies = none, reference
+sens.20 = table2-false
+sens.16 = table1-true
+sens.12 = table1-true
+sens.30 = table3-both
+""")
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    # config order, one call per set; 30 m/s is not in the grid
+    assert [args[0] for args in calls] == ["table2-false", "table1-true"]
+    assert len(_read_rows(tmp_path / "o" / "campaign.csv")) == 1 + 6
+
+
+def test_campaign_missing_set_ends_before_any_case(tmp_path, monkeypatch, capsys):
+    runs = _counting(monkeypatch, "_run_simulation")
+    cfg = _cfg(tmp_path, SIM + """
+[campaign]
+wind_speeds = 12, 16
+strategies = none, reference
+sens.16 = no-such-set
+""")
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no-such-set" in err
+    assert runs == []
+    assert not (tmp_path / "o" / "campaign.csv").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -405,7 +455,7 @@ _FUZZ_SECTIONS = {
                 "section_modulus": ("6.5",), "n_ref": ("600",),
                 "lifetime_scale": ("1", "0"), "hysteresis_frac": ("0", "1e-3")},
     "campaign": {"wind_speeds": ("12", "12, 16"),
-                 "strategies": ("none", "none, zeta-fixed:0.1"),
+                 "strategies": ("none", "none, zeta-fixed:0.1", "none, none"),
                  "sens.16": ("table1-true",)},
 }
 _ALWAYS = ("structure", "sensitivities", "simulation")

@@ -13,8 +13,8 @@ from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
-from fowtctl.sim import (_BLOCK, DisturbanceSpec, TimeSeries, _recur,
-                         build_inputs, csv_cell, free_decay, jonswap_spectrum,
+from fowtctl.sim import (_BLOCK, _POWER_LIMIT, DisturbanceSpec, TimeSeries,
+                         _powers, _recur, build_inputs, csv_cell, free_decay, jonswap_spectrum,
                          jonswap_wave, simulate, write_csv)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
@@ -288,6 +288,40 @@ def test_recur_matches_per_step_loop():
         err = np.max(np.abs(got[:kept] - want[:kept]), axis=0)
         assert np.all(err <= 1e-10 * peak), (case, err, peak)
     assert 20 < n_cut < 115  # both outcomes are exercised
+
+
+def _powers_per_power(p):
+    """_powers as a loop that checks each power as it forms it."""
+    pw = [p]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(pw) < _BLOCK:
+            nxt = pw[-1] @ p
+            if not np.abs(nxt).max() < _POWER_LIMIT:
+                break
+            pw.append(nxt)
+    return np.array(pw)
+
+
+def test_powers_match_the_per_power_loop():
+    """Same powers, bit for bit, and the same cut: on P whose powers all
+    stay small, cross 1e100 inside the block, or overflow to inf."""
+    rng = np.random.default_rng(7)
+    lengths = set()
+    for case in range(120):
+        p = rng.standard_normal((4, 4))
+        radius = np.max(np.abs(np.linalg.eigvals(p)))
+        # spectral radius 0.1 .. 1e60: from about 1e5 on, the powers
+        # overflow to inf inside the block, past the cut
+        p *= 10.0 ** rng.uniform(-1.0, 60.0) / radius
+        got, want = _powers(p), _powers_per_power(p)
+        assert len(got) == len(want), case
+        assert np.array_equal(got, want), case
+        lengths.add(len(want))
+    for p in (np.full((4, 4), 1e200), np.diag([1e60, 1.0, 1.0, 1.0])):
+        assert np.array_equal(_powers(p), _powers_per_power(p))
+    assert len(_powers(np.full((4, 4), 1e200))) == 1
+    assert len(_powers(np.diag([1e60, 1.0, 1.0, 1.0]))) == 1
+    assert {1, _BLOCK} <= lengths and len(lengths) > 10
 
 
 def test_simulate_divergence_truncates_and_flags(params, sens_t1f):
