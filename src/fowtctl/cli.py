@@ -185,8 +185,7 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
     n_cycles = float(np.sum(cycles.count))
     write_csv(out / "cycles.csv", _header(cfg),
               ["range [N*m]", "mean [N*m]", "count [-]"], "%.12g,%.12g,%g",
-              zip(cycles.range.tolist(), cycles.mean.tolist(),
-                  cycles.count.tolist()))
+              [cycles.range, cycles.mean, cycles.count])
     write_csv(out / "fatigue_summary.csv", _header(cfg), ["quantity", "value"],
               "%s,%s",
               [("channel", csv_cell(channel)),
@@ -229,10 +228,9 @@ def _campaign_case(cfg: RunConfig, speed: float, sens: AeroSensitivities,
 def cmd_campaign(cfg: RunConfig, out: Path) -> int:
     if not cfg.campaign_speeds or not cfg.campaign_strategies:
         raise FowtctlError("campaign needs [campaign] wind_speeds and strategies")
-    # each set a speed of the grid names is loaded once, in config order,
-    # so a missing or broken set ends the command before any case runs
-    names = dict.fromkeys(name for speed, name in cfg.campaign_sens.items()
-                          if speed in cfg.campaign_speeds)
+    # each set named in [campaign] is loaded once, in config order, so a
+    # missing or broken set ends the command before any case runs
+    names = dict.fromkeys(cfg.campaign_sens.values())
     loaded = {name: load_sensitivities(name, cfg.search_dir)[0] for name in names}
     sens = {speed: loaded[cfg.campaign_sens[speed]] if speed in cfg.campaign_sens
             else cfg.sens for speed in cfg.campaign_speeds}

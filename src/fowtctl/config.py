@@ -321,6 +321,12 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         for key, value in sec.items():
             if key.startswith("sens."):
                 speed = _number(key.split(".", 1)[1], key, "[campaign]")
+                # a set for a speed the grid does not run, or a second set
+                # for one speed, would be ignored or override silently
+                _require(speed in cfg.campaign_speeds, key, "[campaign]",
+                         speed, "a speed listed in wind_speeds")
+                _require(speed not in cfg.campaign_sens, key, "[campaign]",
+                         speed, "a speed no other sens. key names")
                 cfg.campaign_sens[speed] = value.strip()
 
     return cfg

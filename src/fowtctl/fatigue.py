@@ -62,21 +62,41 @@ def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
         x = np.concatenate((x[:1], x[flips], x[-1:]))
     if hysteresis <= 0.0 or x.size <= 2:
         return x
+    # While the last two kept points are x[i-2] and x[i-1] ("in step"), a
+    # move of at least the hysteresis keeps x[i] and the state stays in
+    # step.  So the scalar merge runs only from each smaller move until the
+    # state is back in step, and collects the indices it drops or merges
+    # away.
+    small = np.flatnonzero(np.abs(np.diff(x)) < hysteresis) + 1
+    if small.size == 0:
+        return x
     pts = x.tolist()
-    kept: list[float] = []
-    # the last two kept points stay in locals, `last` not yet in `kept`;
-    # prev is nan until a second point is kept, and a product with nan is
-    # never > 0, so nothing merges into the first point
-    prev, last = math.nan, pts[0]
-    for p in pts[1:]:
-        if abs(p - last) >= hysteresis:
-            kept.append(last)
-            prev, last = last, p
-        elif (last - prev) * (p - last) > 0.0:
-            # keep the more extreme of the merged pair
-            last = p
-    kept.append(last)
-    return np.array(kept)
+    dropped: list[int] = []
+    resume = 0  # first index the scalar merge has not yet reached
+    for start in small.tolist():
+        if start < resume:
+            continue
+        # the last two kept points' values and the index of the last; prev
+        # is nan before the second point, and a product with nan is never
+        # > 0, so nothing merges into the first point
+        prev = pts[start - 2] if start >= 2 else math.nan
+        last, at = pts[start - 1], start - 1
+        for i in range(start, x.size):
+            p = pts[i]
+            if abs(p - last) >= hysteresis:
+                if at == i - 1:
+                    break  # in step again
+                prev, last, at = last, p, i
+            elif (last - prev) * (p - last) > 0.0:
+                # keep the more extreme of the merged pair
+                dropped.append(at)
+                last, at = p, i
+            else:
+                dropped.append(i)
+        resume = i + 1
+    keep = np.ones(x.size, dtype=bool)
+    keep[dropped] = False
+    return x[keep]
 
 
 def rainflow(signal, hysteresis_frac: float = 0.0) -> Cycles:

@@ -53,13 +53,10 @@ class TimeSeries:
     def time(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self))
 
-    def window(self, t_start: float, t_end: float | None = None) -> "TimeSeries":
-        """Sub-series restricted to [t_start, t_end]."""
+    def window(self, t_start: float) -> "TimeSeries":
+        """Sub-series from t_start on."""
         t = self.time
-        mask = t >= t_start
-        if t_end is not None:
-            mask &= t <= t_end
-        idx = np.flatnonzero(mask)
+        idx = np.flatnonzero(t >= t_start)
         return TimeSeries(
             dt=self.dt,
             channels={k: v[idx] for k, v in self.channels.items()},
@@ -73,18 +70,25 @@ class TimeSeries:
         columns = [self.time] + [self.channels[n] for n in names]
         write_csv(path, header_lines or [],
                   ["t [s]"] + [f"{n} [{self.units.get(n, '-')}]" for n in names],
-                  "%.6f" + ",%.12g" * len(names), _row_tuples(columns))
+                  "%.6f" + ",%.12g" * len(names), columns)
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
         try:
+            # the provenance and header lines by csv (a header cell may be
+            # quoted), then the body by numpy from the path, which reads
+            # in blocks rather than line by line from a handle
             with open(path) as fh:
-                head = next((r for r in csv.reader(fh)
+                reader = csv.reader(fh)
+                head = next((r for r in reader
                              if r and not r[0].startswith("#")), None)
+                skip = reader.line_num
+            if head is not None:
                 with warnings.catch_warnings():
                     # an empty body is reported below, not warned about
                     warnings.simplefilter("ignore", UserWarning)
-                    arr = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+                    arr = np.loadtxt(path, delimiter=",", comments="#",
+                                     skiprows=skip, ndmin=2)
         except (OSError, ValueError, csv.Error) as exc:
             raise ParameterError(f"cannot read series file {path}: {exc}") from exc
         if head is None or len(arr) == 0 or arr.shape[1] != len(head):
@@ -108,14 +112,6 @@ class TimeSeries:
 _ROW_BLOCK = 1024
 
 
-def _row_tuples(columns):
-    """Rows of equal-length 1-D columns as tuples of Python floats, built
-    one block of rows at a time so the whole table never exists at once."""
-    for i in range(0, len(columns[0]), _ROW_BLOCK):
-        block = np.column_stack([c[i:i + _ROW_BLOCK] for c in columns])
-        yield from map(tuple, block.tolist())
-
-
 def write_header(fh, header_lines):
     """One `# ` comment line per provenance line."""
     for line in header_lines:
@@ -131,18 +127,26 @@ def csv_cell(text: str) -> str:
     return text
 
 
-def write_csv(path, header_lines, columns, fmt, rows):
+def write_csv(path, header_lines, names, fmt, rows):
     """CSV file: the `# ` provenance lines, the column names, then one
-    `fmt % row` line per row tuple, each ending in CRLF as the csv
-    module's default dialect does.  Column names and `%s` cells are
-    written as given, so a cell that may hold a comma or quote goes
-    through csv_cell first."""
+    `fmt` line per row, each ending in CRLF as the csv module's default
+    dialect does.  `rows` is either an iterable of row tuples, one `%`
+    operation per row, or, for a numeric table, a list of its equal-length
+    1-D array columns, formatted _ROW_BLOCK rows per `%` operation from
+    column slices, so the whole table never exists as one array or as
+    Python floats.  Column names and `%s` cells are written as given, so
+    a cell that may hold a comma or quote goes through csv_cell first."""
     line = fmt + "\r\n"
     with open(path, "w", newline="") as fh:
         write_header(fh, header_lines)
-        fh.write(",".join(columns) + "\r\n")
-        for row in rows:
-            fh.write(line % row)
+        fh.write(",".join(names) + "\r\n")
+        if isinstance(rows, list) and rows and isinstance(rows[0], np.ndarray):
+            for i in range(0, len(rows[0]), _ROW_BLOCK):
+                block = np.column_stack([c[i:i + _ROW_BLOCK] for c in rows])
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
+                fh.write(line % row)
 
 
 @dataclass(frozen=True)
@@ -198,9 +202,10 @@ def jonswap_spectrum(f: np.ndarray, hs: float, tp: float, gamma: float) -> np.nd
 
 
 def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
-                 dt: float, t_end: float) -> TimeSeries:
-    """Irregular wave synthesis: inverse-FFT of the JONSWAP spectrum with
-    seeded random phases.  Deterministic for a given seed."""
+                 dt: float, t_end: float) -> np.ndarray:
+    """Irregular wave elevation (m) at dt * arange(n), n = round(t_end / dt)
+    + 1: inverse-FFT of the JONSWAP spectrum with seeded random phases.
+    Deterministic for a given seed."""
     if tp <= 0.0:
         raise ParameterError(f"tp must be > 0 (got {tp})")
     if t_end < 10.0 * tp:
@@ -217,8 +222,7 @@ def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
     spec[0] = 0.0
     if n % 2 == 0:
         spec[-1] = 0.0
-    w = irfft(spec, n=n)
-    return TimeSeries(dt=dt, channels={"w": w}, units={"w": "m"})
+    return irfft(spec, n=n)
 
 
 def load_wind_file(path):
@@ -250,8 +254,8 @@ def build_inputs(disturbances, dt: float, t_end: float):
         elif spec.kind == "mono-wave":
             monos.append((spec.period, spec.amplitude))
         elif spec.kind == "jonswap-wave":
-            ts = jonswap_wave(spec.hs, spec.period, spec.gamma, spec.seed, dt, t_end)
-            irregular.append((ts.time, ts.channels["w"]))
+            w = jonswap_wave(spec.hs, spec.period, spec.gamma, spec.seed, dt, t_end)
+            irregular.append((dt * np.arange(len(w)), w))
 
     def u(tt: np.ndarray) -> np.ndarray:
         rows = np.zeros((len(tt), 4))

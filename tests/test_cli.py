@@ -336,10 +336,9 @@ strategies = none, reference
 sens.20 = table2-false
 sens.16 = table1-true
 sens.12 = table1-true
-sens.30 = table3-both
 """)
     assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    # config order, one call per set; 30 m/s is not in the grid
+    # config order, one call per set
     assert [args[0] for args in calls] == ["table2-false", "table1-true"]
     assert len(_read_rows(tmp_path / "o" / "campaign.csv")) == 1 + 6
 
@@ -359,29 +358,90 @@ sens.16 = no-such-set
     assert not (tmp_path / "o" / "campaign.csv").exists()
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param(None, id="missing"),
-    pytest.param("", id="empty"),
-    pytest.param("# fowtctl\nt [s],tower_moment [N*m]\n", id="header-only"),
-    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,abc\n", id="non-numeric"),
-    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,nan\n0.2,3.0\n",
-                 id="nan-cell"),
-    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2.0\n0.2,-inf\n",
-                 id="inf-cell"),
-    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2.0,3.0\n",
-                 id="ragged"),
+@pytest.mark.parametrize("keys,key,msg", [
+    pytest.param("sens.61 = table2-true", "sens.61", "listed in wind_speeds",
+                 id="speed-not-in-grid"),
+    pytest.param("sens.16 = table1-true\nsens.16.0 = table2-true", "sens.16.0",
+                 "no other sens. key", id="speed-named-twice"),
 ])
-def test_fatigue_bad_series_file_ends_as_error(tmp_path, capsys, text):
+def test_campaign_sens_key_must_name_one_grid_speed(tmp_path, capsys, keys,
+                                                   key, msg):
+    cfg = _cfg(tmp_path, SIM + f"""
+[campaign]
+wind_speeds = 12, 16
+strategies = none
+{keys}
+""")
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}' in [campaign]" in err
+    assert msg in err
+    assert not (tmp_path / "o" / "campaign.csv").exists()
+
+
+@pytest.mark.parametrize("text,msg", [
+    pytest.param(None, "cannot read", id="missing"),
+    pytest.param("", "needs a header row", id="empty"),
+    pytest.param("# fowtctl\nt [s],tower_moment [N*m]\n", "needs a header row",
+                 id="header-only"),
+    pytest.param("\r\n# fowtctl\r\nt [s],tower_moment [N*m]\r\n# x\r\n\r\n",
+                 "needs a header row", id="header-only-crlf"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,abc\n",
+                 "'abc' to float64 at row 1,", id="non-numeric"),
+    pytest.param("\n# a\r\n\r\nt [s],tower_moment [N*m]\r\n0.0,1.0\r\n"
+                 "# b\r\n0.1,abc\r\n", "'abc' to float64 at row 1,",
+                 id="non-numeric-after-comments-crlf"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,nan\n0.2,3.0\n",
+                 "non-finite value in data row 2", id="nan-cell"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2.0\n0.2,-inf\n",
+                 "non-finite value in data row 3", id="inf-cell"),
+    pytest.param("\n# a\nt [s],tower_moment [N*m]\n0.0,1.0\n# b\n\n0.1,2.0\n"
+                 "0.2,inf\n", "non-finite value in data row 3",
+                 id="inf-cell-after-comments"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2.0,3.0\n",
+                 "from 2 to 3 at row 2;", id="ragged"),
+    pytest.param("# a\r\n\r\nt [s],tower_moment [N*m]\r\n0.0,1.0\r\n# b\r\n"
+                 "\r\n0.1,2.0\r\n0.2,2.0,3.0\r\n", "from 2 to 3 at row 3;",
+                 id="ragged-after-comments-crlf"),
+])
+def test_fatigue_bad_series_file_ends_as_error(tmp_path, capsys, text, msg):
     series = tmp_path / "series.csv"
     if text is not None:
-        series.write_text(text)
+        series.write_bytes(text.encode())
     cfg = _cfg(tmp_path, BASE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # reported as an error, not warned about
         assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
                      str(series)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(series) in err
+    assert err.startswith("error:") and str(series) in err and msg in err
+
+
+_SERIES_HEAD = "t [s],tower_moment [N*m]"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("\n# a\n\n# b\n" + _SERIES_HEAD + "\n0.0,1.0\n0.1,-2.0\n"
+                 "0.2,3.0\n0.3,-1.5\n", id="blank-and-comments-before-header"),
+    pytest.param(_SERIES_HEAD + "\n0.0,1.0\n# b\n0.1,-2.0\n\n# c\n0.2,3.0\n"
+                 "0.3,-1.5\n", id="comments-in-body"),
+    pytest.param("# a\r\n\r\n" + _SERIES_HEAD + "\r\n0.0,1.0\r\n# b\r\n"
+                 "0.1,-2.0\r\n0.2,3.0\r\n0.3,-1.5\r\n", id="crlf"),
+])
+def test_fatigue_series_comments_blank_lines_and_crlf(tmp_path, text):
+    cfg = _cfg(tmp_path, BASE)
+    outs = {}
+    for name, body in (("plain", _SERIES_HEAD + "\n0.0,1.0\n0.1,-2.0\n"
+                                 "0.2,3.0\n0.3,-1.5\n"), ("edge", text)):
+        series = tmp_path / f"{name}.csv"
+        series.write_bytes(body.encode())
+        assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / name),
+                     str(series)]) == 0
+        outs[name] = (tmp_path / name / "cycles.csv").read_bytes()
+    assert outs["edge"] == outs["plain"]
+    # the turning points 1, -2, 3, -1.5 give three half cycles
+    assert outs["plain"].endswith(b"count [-]\r\n3,-0.5,0.5\r\n5,0.5,0.5\r\n"
+                                  b"4.5,0.75,0.5\r\n")
 
 
 def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):

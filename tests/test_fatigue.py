@@ -47,6 +47,66 @@ def test_turning_points_match_the_per_sample_loop(seed):
                               _turning_points_loop(x, hyst))
 
 
+@st.composite
+def _chatter(draw):
+    """(signal, hysteresis) rich in moves below the hysteresis: runs of
+    small and large moves, scaled by a step size with the hysteresis drawn
+    relative to it, of alternating or random sign (random signs leave
+    same-direction moves for the extrema pass to join)."""
+    step = draw(st.sampled_from([1.0, 0.1, 2.5e4]))
+    units = draw(st.one_of(st.integers(1, 4), st.floats(0.05, 5.0)))
+    hyst = step * units
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 6)),
+                         min_size=1, max_size=12))
+    small = [s for s, n in runs for _ in range(n)]
+    if draw(st.booleans()):  # a small move at index 1 and at the last point
+        small[0] = small[-1] = True
+    if isinstance(units, int):
+        # whole steps: moves of exactly the hysteresis occur
+        sizes = [step * draw(st.integers(0, units - 1) if s
+                             else st.integers(units, 3 * units)) for s in small]
+    else:
+        sizes = [draw(st.floats(0.0, hyst, exclude_max=True) if s
+                      else st.floats(hyst, 3.0 * hyst)) for s in small]
+    if draw(st.booleans()):
+        signs = [(-1.0) ** k for k in range(len(sizes))]
+    else:
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                              min_size=len(sizes), max_size=len(sizes)))
+    return np.cumsum([0.0] + [g * m for g, m in zip(signs, sizes)]), hyst
+
+
+@given(_chatter())
+@example((np.array([0.0, 0.1, 5.0, 4.9]), 1.0))  # small at index 1 and last
+@example((np.array([0.0, 10.0, 9.8, 20.0]), 1.0))  # the non-extremum kept
+@example((np.array([0.0, 5.0, 4.6, 4.9, 4.7, 5.2, 0.0]), 1.0))  # a run
+@settings(max_examples=300, deadline=None)
+def test_turning_points_merge_matches_the_per_sample_loop(case):
+    x, hyst = case
+    got = turning_points(x, hysteresis=hyst)
+    assert got.tobytes() == _turning_points_loop(x, hyst).tobytes()
+
+
+def _mean_reverting_walk(seed, n=20_000):
+    """x[k] = 0.998 x[k-1] + e[k], as in the benchmark's fatigue series."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n)
+    x = np.empty_like(e)
+    x[0] = e[0]
+    for i in range(1, x.size):
+        x[i] = 0.998 * x[i - 1] + e[i]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_turning_points_merge_matches_the_per_sample_loop_on_long_series(seed):
+    x = _mean_reverting_walk(seed)
+    for frac in (1e-3, 1e-2):
+        hyst = frac * float(np.ptp(x))
+        assert np.array_equal(turning_points(x, hysteresis=hyst),
+                              _turning_points_loop(x, hyst))
+
+
 def _rainflow_per_cycle(signal, hysteresis_frac=0.0):
     """Per-cycle reference: the stack loop that builds one Cycle per
     counted pair, in counting order."""
@@ -112,14 +172,8 @@ def test_rainflow_columns_match_the_per_cycle_reference(steps, frac):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_rainflow_columns_match_the_per_cycle_reference_on_long_series(seed):
-    # a mean-reverting walk, as in the benchmark's fatigue series; with
-    # the default hysteresis its merged points do not all alternate
-    rng = np.random.default_rng(seed)
-    e = rng.standard_normal(20_000)
-    x = np.empty_like(e)
-    x[0] = e[0]
-    for i in range(1, x.size):
-        x[i] = 0.998 * x[i - 1] + e[i]
+    # with the default hysteresis its merged points do not all alternate
+    x = _mean_reverting_walk(seed)
     assert not _alternates(turning_points(x, 1e-3 * float(np.ptp(x))))
     for frac in (0.0, 1e-3, 1e-2):
         _assert_same_cycles(rainflow(x, hysteresis_frac=frac),

@@ -13,8 +13,8 @@ from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
-from fowtctl.sim import (_BLOCK, _POWER_LIMIT, DisturbanceSpec, TimeSeries,
-                         _powers, _recur, build_inputs, csv_cell, free_decay,
+from fowtctl.sim import (_BLOCK, _POWER_LIMIT, _ROW_BLOCK, DisturbanceSpec,
+                         TimeSeries, _powers, _recur, build_inputs, csv_cell, free_decay,
                          jonswap_spectrum, jonswap_wave, simulate, write_csv)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
@@ -39,9 +39,10 @@ def test_timeseries_validation():
 def test_timeseries_time_and_window():
     ts = TimeSeries(dt=0.5, channels={"a": np.arange(10.0)})
     np.testing.assert_allclose(ts.time, 0.5 * np.arange(10))
-    win = ts.window(2.0, 3.5)
-    assert win.t0 == 2.0
-    np.testing.assert_allclose(win.channels["a"], [4.0, 5.0, 6.0, 7.0])
+    win = ts.window(3.5)
+    assert win.t0 == 3.5
+    np.testing.assert_allclose(win.channels["a"], [7.0, 8.0, 9.0])
+    assert len(ts.window(5.0)) == 0
 
 
 def test_timeseries_csv_round_trip(tmp_path):
@@ -68,6 +69,22 @@ def test_write_csv_golden_bytes(tmp_path):
         b"0.050000,1e-300\r\n"
         b"0.333333,1.23456789012e+16\r\n"
         b"2.500000,0.3\r\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
+def test_write_csv_columns_match_row_tuples(tmp_path, n):
+    # a numeric table given as columns is written in blocks of rows; the
+    # bytes are those of one `%` per row, across block boundaries too
+    rng = np.random.default_rng(n)
+    cols = [0.05 * np.arange(n),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            np.where(rng.random(n) < 0.5, 0.5, 1.0)]
+    if n:
+        cols[1][0] = -0.0
+    args = (["seed=none"], ["t [s]", "x [m]", "count [-]"], "%.6f,%.12g,%g")
+    write_csv(tmp_path / "rows.csv", *args, list(zip(*(c.tolist() for c in cols))))
+    write_csv(tmp_path / "cols.csv", *args, cols)
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_csv_cell_quotes_like_the_csv_module():
@@ -119,11 +136,12 @@ def test_jonswap_spectrum_zeroth_moment():
 def test_jonswap_wave_deterministic_and_scaled():
     a = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=3, dt=0.1, t_end=600.0)
     b = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=3, dt=0.1, t_end=600.0)
-    np.testing.assert_array_equal(a.channels["w"], b.channels["w"])
+    assert a.shape == (6001,)  # one sample per dt, both ends included
+    np.testing.assert_array_equal(a, b)
     c = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=4, dt=0.1, t_end=600.0)
-    assert not np.array_equal(a.channels["w"], c.channels["w"])
+    assert not np.array_equal(a, c)
     # standard deviation approximates hs/4
-    assert np.std(a.channels["w"]) == pytest.approx(1.5 / 4.0, rel=0.15)
+    assert np.std(a) == pytest.approx(1.5 / 4.0, rel=0.15)
 
 
 def test_jonswap_short_duration_warns():
@@ -141,6 +159,14 @@ def test_build_inputs_superposition():
     np.testing.assert_array_equal(rows[:, :2], 0.0)  # beta_ol, tau_g_ol
     np.testing.assert_array_equal(rows[:, 2], [0.0, 0.0, 2.0, 1.5])
     assert rows[0, 3] == pytest.approx(1.0)  # hw/2 at quarter period
+
+
+def test_build_inputs_samples_the_jonswap_wave_on_its_grid():
+    spec = DisturbanceSpec(kind="jonswap-wave", hs=1.5, period=11.0,
+                           gamma=2.0, seed=3)
+    u = build_inputs([spec], dt=0.1, t_end=600.0)
+    w = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=3, dt=0.1, t_end=600.0)
+    np.testing.assert_array_equal(u(0.1 * np.arange(len(w)))[:, 3], w)
 
 
 def test_wind_file_input(tmp_path):
