@@ -294,15 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config, search_dir=args.params_dir)
-        if args.seed is not None:
-            old_seed = cfg.seed
-            cfg.seed = args.seed
-            # disturbances that inherited the run seed follow the override
-            cfg.disturbances = [
-                replace(d, seed=args.seed)
-                if d.kind == "jonswap-wave" and d.seed == old_seed else d
-                for d in cfg.disturbances]
+        cfg = load_run_config(args.config, search_dir=args.params_dir,
+                              seed=args.seed)
         out = _out_dir(cfg, args.out)
         if args.command == "tune":
             return cmd_tune(cfg, out)

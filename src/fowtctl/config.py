@@ -190,7 +190,10 @@ def strategy_label(strategy: tuple[str, float | None]) -> str:
     return kind if zeta is None else f"{kind}:{zeta:g}"
 
 
-def load_run_config(path, search_dir=None) -> RunConfig:
+def load_run_config(path, search_dir=None, seed=None) -> RunConfig:
+    """The parsed and resolved config at path.  seed, if given, replaces
+    the [run] seed, and with it the seed of every JONSWAP disturbance that
+    inherits the run seed; a disturbance's own seed is kept."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -216,6 +219,8 @@ def load_run_config(path, search_dir=None) -> RunConfig:
         if "seed" in run:
             cfg.seed = _get(run, "seed", None, int)
         cfg.out_dir = run.get("out", cfg.out_dir)
+    if seed is not None:
+        cfg.seed = seed
 
     if "rotor" in cp:
         cfg.zeta_rot = _get(cp["rotor"], "zeta", cfg.zeta_rot)

@@ -15,6 +15,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 # numpy loads these submodules lazily.  Importing them here puts their
@@ -74,6 +75,7 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
+        bad = None
         try:
             # the provenance and header lines by csv (a header cell may be
             # quoted), then the body by numpy from the path, which reads
@@ -87,10 +89,20 @@ class TimeSeries:
                 with warnings.catch_warnings():
                     # an empty body is reported below, not warned about
                     warnings.simplefilter("ignore", UserWarning)
-                    arr = np.loadtxt(path, delimiter=",", comments="#",
-                                     skiprows=skip, ndmin=2)
+                    try:
+                        arr = np.loadtxt(path, delimiter=",", comments="#",
+                                         skiprows=skip, ndmin=2)
+                    except ValueError:
+                        # numpy numbers the failing row differently by
+                        # fault, so the row is found again and named as
+                        # the non-finite check below names it
+                        bad = _first_bad_row(path, skip, len(head))
+                        if bad is None:
+                            raise
         except (OSError, ValueError, csv.Error) as exc:
             raise ParameterError(f"cannot read series file {path}: {exc}") from exc
+        if bad is not None:
+            raise ParameterError(f"series file {path}: {bad}")
         if head is None or len(arr) == 0 or arr.shape[1] != len(head):
             raise ParameterError(f"series file {path} needs a header row and "
                                  "data rows with one value per column")
@@ -107,6 +119,28 @@ class TimeSeries:
         dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
         channels = {n: arr[:, i + 1] for i, n in enumerate(names)}
         return cls(dt=dt, channels=channels, units=units, t0=float(t[0]))
+
+
+def _first_bad_row(path, skip: int, width: int) -> str | None:
+    """What is wrong with the first data row of a series file that is not
+    `width` numbers, or None.  Rows count from 1 as np.loadtxt reads them:
+    past `skip` lines, cut at `#`, and skipped only when nothing is left."""
+    with open(path) as fh:
+        lines = (line.rstrip("\n").partition("#")[0]
+                 for line in islice(fh, skip, None))
+        for row, line in enumerate(filter(None, lines), 1):
+            cells = line.split(",")
+            if len(cells) != width:
+                return (f"wrong number of values ({len(cells)} for {width} columns) "
+                        f"in data row {row}")
+            for cell in cells:
+                try:
+                    # float() also takes underscores and non-ASCII digits,
+                    # which np.loadtxt refuses
+                    float(cell if cell.isascii() and "_" not in cell else "x")
+                except ValueError:
+                    return f"non-numeric value {cell!r} in data row {row}"
+    return None
 
 
 _ROW_BLOCK = 1024
@@ -292,6 +326,27 @@ _UNITS = {
 _DIVERGENCE_NORM = 1e12
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring: the degree-18 Taylor polynomial of
+    x = a / 2^s, squared s times, with s >= 0 the least for which
+    2^s > 2 * ||a||_1.  So ||x||_1 < 0.5 and the truncated terms sum to
+    less than 1e-22.  A matrix with a NaN or inf entry, or whose
+    exponential overflows, gives NaN entries, never an exception."""
+    eye = np.eye(len(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(a).sum(axis=0).max(initial=0.0)
+        if not math.isfinite(norm):
+            return np.full_like(a, math.nan)
+        s = max(0, math.frexp(norm)[1] + 1)
+        x = np.ldexp(a, -s)
+        r = eye
+        for k in range(18, 0, -1):
+            r = eye + x @ r / k
+        for _ in range(s):
+            r = r @ r
+    return r if np.isfinite(r).all() else np.full_like(r, math.nan)
+
+
 def _one_step_map(a: np.ndarray, b: np.ndarray, dt: float, method: str):
     """One step of the linear loop as x[k+1] = P x[k] + sum_j G_j u(t_k + c_j dt).
 
@@ -300,13 +355,11 @@ def _one_step_map(a: np.ndarray, b: np.ndarray, dt: float, method: str):
     start, midpoint and end; for exact it is the zero-order-hold pair.
     """
     if method == "exact":
-        from scipy.linalg import expm  # scipy loads only for this method
-
         # augmented exponential handles singular A exactly
         aug = np.zeros((8, 8))
         aug[:4, :4] = a
         aug[:4, 4:] = b
-        phi_mat = expm(aug * dt)
+        phi_mat = _expm(aug * dt)
         return phi_mat[:4, :4], [(0.0, phi_mat[:4, 4:])]
     eye = np.eye(4)
     ha = dt * a
@@ -435,10 +488,8 @@ def free_decay(a: np.ndarray, x0, dt: float, t_end: float) -> FreeDecayResult:
     fewer than 3 peaks the motion is flagged overdamped and an
     exponential fit of |phi| is reported instead.
     """
-    from scipy.linalg import expm
-
     n = int(round(t_end / dt)) + 1
-    states, _ = _recur(expm(np.asarray(a) * dt), np.zeros((n - 1, 4)),
+    states, _ = _recur(_expm(np.asarray(a) * dt), np.zeros((n - 1, 4)),
                        np.asarray(x0, dtype=float))
     phi = states[:, 2]
     t = dt * np.arange(len(phi))

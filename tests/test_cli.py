@@ -128,6 +128,24 @@ def test_seed_flag_overrides_config(tmp_path):
     assert not np.array_equal(a.channels["w"], b.channels["w"])
 
 
+def test_seed_flag_keeps_an_explicit_disturbance_seed(tmp_path):
+    """--seed replaces the run seed and the seeds that inherit it, not a
+    disturbance seed set explicitly to the same value."""
+    sea = ("\n[disturbance.sea]\nkind = jonswap-wave\nhs = 1\nperiod = 11\n"
+           "\n[disturbance.swell]\nkind = jonswap-wave\nhs = 0.5\nperiod = 25\n"
+           "seed = 7\n")
+    flagged = _cfg(tmp_path, BASE + "[run]\nseed = 7\n" + sea, "flagged.ini")
+    written = _cfg(tmp_path, BASE + "[run]\nseed = 9\n" + sea, "written.ini")
+    main(["simulate", "--config", flagged, "--out", str(tmp_path / "a"),
+          "--seed", "9"])
+    main(["simulate", "--config", written, "--out", str(tmp_path / "b")])
+    a, b = ((tmp_path / d / "timeseries.csv").read_text().splitlines()
+            for d in "ab")
+    # only the config hash differs
+    assert [x for x, y in zip(a, b) if x != y] == [a[1]]
+    assert len(a) == len(b)
+
+
 def test_bode_outputs_three_sweeps(tmp_path):
     cfg = _cfg(tmp_path, BASE)
     assert main(["bode", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -387,10 +405,12 @@ strategies = none
     pytest.param("\r\n# fowtctl\r\nt [s],tower_moment [N*m]\r\n# x\r\n\r\n",
                  "needs a header row", id="header-only-crlf"),
     pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,abc\n",
-                 "'abc' to float64 at row 1,", id="non-numeric"),
+                 "non-numeric value 'abc' in data row 2", id="non-numeric"),
     pytest.param("\n# a\r\n\r\nt [s],tower_moment [N*m]\r\n0.0,1.0\r\n"
-                 "# b\r\n0.1,abc\r\n", "'abc' to float64 at row 1,",
+                 "# b\r\n0.1,abc\r\n", "non-numeric value 'abc' in data row 2",
                  id="non-numeric-after-comments-crlf"),
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2_0\n",
+                 "non-numeric value '2_0' in data row 2", id="underscore"),
     pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,nan\n0.2,3.0\n",
                  "non-finite value in data row 2", id="nan-cell"),
     pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2.0\n0.2,-inf\n",
@@ -399,10 +419,14 @@ strategies = none
                  "0.2,inf\n", "non-finite value in data row 3",
                  id="inf-cell-after-comments"),
     pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n0.1,2.0,3.0\n",
-                 "from 2 to 3 at row 2;", id="ragged"),
+                 "(3 for 2 columns) in data row 2", id="ragged"),
     pytest.param("# a\r\n\r\nt [s],tower_moment [N*m]\r\n0.0,1.0\r\n# b\r\n"
-                 "\r\n0.1,2.0\r\n0.2,2.0,3.0\r\n", "from 2 to 3 at row 3;",
+                 "\r\n0.1,2.0\r\n0.2,2.0,3.0\r\n",
+                 "(3 for 2 columns) in data row 3",
                  id="ragged-after-comments-crlf"),
+    # a line of spaces is a row of one empty value, as np.loadtxt reads it
+    pytest.param("t [s],tower_moment [N*m]\n0.0,1.0\n  \n0.1,2.0\n",
+                 "(1 for 2 columns) in data row 2", id="spaces-only"),
 ])
 def test_fatigue_bad_series_file_ends_as_error(tmp_path, capsys, text, msg):
     series = tmp_path / "series.csv"
@@ -602,35 +626,57 @@ def _run_python(script: str, env: dict | None = None):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scipy_loads_only_for_the_exact_method(tmp_path):
-    """`import fowtctl.cli` and the tune, analyze, rk4 simulate and fatigue
-    commands leave scipy and numpy.polynomial unloaded; an exact
-    simulation loads scipy."""
+@pytest.mark.parametrize("block", [False, True], ids=["importable", "blocked"])
+def test_no_command_loads_scipy(tmp_path, block):
+    """`import fowtctl.cli`, all six commands with method = exact, an rk4
+    simulation and free_decay leave scipy and numpy.polynomial unloaded;
+    with scipy made unimportable they all still run."""
     rk4 = _cfg(tmp_path, SIM, name="rk4.ini")
     exact = _cfg(tmp_path, SIM.replace("duration = 60",
-                                       "duration = 60\nmethod = exact"),
+                                       "duration = 60\nmethod = exact")
+                 + "\n[campaign]\nwind_speeds = 12\nstrategies = none, reference\n",
                  name="exact.ini")
     out = str(tmp_path / "o")
     series = str(tmp_path / "o" / "timeseries.csv")
     _run_python(f"""
 import sys
+if {block!r}:
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import fowtctl
 from fowtctl.cli import main
+from fowtctl.sim import free_decay
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  and sys.modules[m] is not None
                   or m.startswith("numpy.polynomial"))
 
 assert not loaded(), ("import", loaded())
-for argv in ({["tune", "--config", rk4, "--out", out]!r},
-             {["analyze", "--config", rk4, "--out", out]!r},
-             {["simulate", "--config", rk4, "--out", out]!r},
-             {["fatigue", "--config", rk4, "--out", out, series]!r}):
-    assert main(argv) == 0
-    assert not loaded(), (argv[0], loaded())
-assert main({["simulate", "--config", exact, "--out", out]!r}) == 0
-assert "scipy.linalg" in sys.modules
+assert main({["simulate", "--config", rk4, "--out", out]!r}) == 0
+for command in ("tune", "analyze", "simulate", "bode", "campaign"):
+    assert main([command, "--config", {exact!r}, "--out", {out!r}]) == 0
+    assert not loaded(), (command, loaded())
+assert main({["fatigue", "--config", exact, "--out", out, series]!r}) == 0
+a = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, -0.05, -0.01]]
+assert 0.0 < free_decay(a, [0, 0, 0.1, 0], 0.1, 600.0).zeta < 0.1
+assert not loaded(), ("fatigue, free_decay", loaded())
 """)
+
+
+def test_exact_simulation_of_an_overflowing_loop_diverges_at_the_first_step(
+        tmp_path, capsys):
+    # jr = 1e-300 makes A and the exponential of A*dt overflow
+    cfg = _cfg(tmp_path, SIM.replace("use = umaine-iea15", """ng = 1.0
+jr = 1e-300
+jt = 3.0e11
+dt = 1.0e8
+kt = 1.433e10
+ht = 150.0""").replace("duration = 60", "duration = 60\nmethod = exact"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "diverged at t=0.05 s" in capsys.readouterr().err
+    text = (tmp_path / "o" / "timeseries.csv").read_text()
+    assert "# diverged_at=0.05\n" in text
+    assert len(_read_rows(tmp_path / "o" / "timeseries.csv")) == 1 + 2
 
 
 def test_campaign_runs_in_one_process(tmp_path):

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from fowtctl.config import _data_dir, load_sensitivities
 from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
 from fowtctl.sim import (_BLOCK, _POWER_LIMIT, _ROW_BLOCK, DisturbanceSpec,
-                         TimeSeries, _powers, _recur, build_inputs, csv_cell, free_decay,
+                         TimeSeries, _expm, _powers, _recur, build_inputs, csv_cell,
+                         free_decay,
                          jonswap_spectrum, jonswap_wave, simulate, write_csv)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
@@ -381,6 +383,55 @@ def test_tower_moment_definition(closed_t1f, params, sens_t1f):
                              + sens_t1f.dfa_dbeta * c["beta"])
                 + params.kt * c["phi"])
     np.testing.assert_allclose(c["tower_moment"], expected, rtol=1e-12)
+
+
+# --- matrix exponential ------------------------------------------------
+
+def test_expm_matches_scipy_on_the_zero_order_hold_matrices(params):
+    """The augmented matrices of the exact method, [[A, B], [0, 0]] * dt,
+    for every packaged sensitivity set, four strategies and dt from 0.01
+    to 10 s; each column within 1e-13 of its largest entry."""
+    sets = sorted(p.stem for p in (_data_dir() / "sensitivities").glob("*.ini"))
+    assert len(sets) == 5
+    worst = 0.0
+    for name in sets:
+        sens = load_sensitivities(name)[0]
+        for kind, zeta in (("none", None), ("reference", None),
+                           ("zeta-fixed", 0.10), ("zeta-fixed", 0.25)):
+            gains = synthesize(params, sens, RotorTarget(0.6, 0.01),
+                               strategy=kind, zeta_plt=zeta)
+            ss = close_loop(build_open_loop(params, sens), gains)
+            aug = np.block([[ss.closed, ss.b_full()], [np.zeros((4, 8))]])
+            for dt in (0.01, 0.05, 0.2, 1.0, 10.0):
+                ref = expm(aug * dt)
+                err = np.abs(_expm(aug * dt) - ref) / np.abs(ref).max(axis=0)
+                worst = max(worst, err.max())
+    assert worst <= 1e-13
+
+
+def test_expm_closed_forms():
+    for n in (1, 4, 8):
+        assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))
+    d = np.array([-30.0, -1.0, 0.0, 1e-3, 2.0, 10.0])
+    np.testing.assert_allclose(_expm(np.diag(d)), np.diag(np.exp(d)),
+                               rtol=1e-13, atol=0.0)
+    # nilpotent: exp(N) = I + N, exactly through every squaring
+    for c in (3.7, -1e-200, 1e300):
+        assert np.array_equal(_expm(np.array([[0.0, c], [0.0, 0.0]])),
+                              np.array([[1.0, c], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(np.diag([1.0, math.inf, 1.0]), id="inf"),
+    pytest.param(np.array([[0.0, -math.inf], [0.0, 0.0]]), id="-inf"),
+    pytest.param(np.array([[1.0, 0.0], [math.nan, 1.0]]), id="nan"),
+    # finite entries whose exponential overflows
+    pytest.param(np.full((4, 4), 1e300), id="overflow"),
+])
+def test_expm_non_finite_or_overflowing_gives_nan(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(_expm(a)).all()
 
 
 # --- free decay --------------------------------------------------------
