@@ -177,10 +177,9 @@ def _evaluate_fatigue(signal, fs: FatigueSettings):
 
 def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
                 channel: str = "tower_moment") -> int:
-    ts = TimeSeries.from_csv(series_file)
-    if channel not in ts.channels:
-        raise FowtctlError(f"channel {channel!r} not in {series_file} "
-                           f"(has {sorted(ts.channels)})")
+    # only the analysed channel is kept, so a wide series file is not
+    # held twice while its channels are copied out of the parsed table
+    ts = TimeSeries.from_csv(series_file, channel=channel)
     cycles, del_value, damage = _evaluate_fatigue(ts.channels[channel], cfg.fatigue)
     n_cycles = float(np.sum(cycles.count))
     write_csv(out / "cycles.csv", _header(cfg),

@@ -9,6 +9,7 @@ space and continuous at the knee.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,13 +54,25 @@ def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if x.size < 2:
         return x.copy()
-    x = x[np.concatenate(([True], np.diff(x) != 0.0))]
-    if x.size > 2:
-        # slope signs, not slope products: a product of two tiny slopes
-        # can underflow to zero and hide an extremum
-        rising = np.diff(x) > 0.0
-        flips = np.flatnonzero(rising[:-1] != rising[1:]) + 1
-        x = np.concatenate((x[:1], x[flips], x[-1:]))
+    # a step between two kept samples is exactly the nonzero step of the
+    # full signal that ends at the later one, so one diff serves both
+    # passes; each full-length temporary is released once it is used
+    step = np.diff(x)
+    moved = step != 0.0
+    if not moved.all():
+        x = x[np.concatenate(([True], moved))]
+        step = step[moved]
+    del moved
+    if x.size <= 2:
+        return x.copy()
+    # slope signs, not slope products: a product of two tiny slopes
+    # can underflow to zero and hide an extremum
+    rising = step > 0.0
+    del step
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(rising[:-1], rising[1:], out=keep[1:-1])
+    del rising
+    x = x[keep]
     if hysteresis <= 0.0 or x.size <= 2:
         return x
     # While the last two kept points are x[i-2] and x[i-1] ("in step"), a
@@ -67,10 +80,12 @@ def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
     # step.  So the scalar merge runs only from each smaller move until the
     # state is back in step, and collects the indices it drops or merges
     # away.
-    small = np.flatnonzero(np.abs(np.diff(x)) < hysteresis) + 1
+    step = np.diff(x)
+    small = np.flatnonzero(np.abs(step, out=step) < hysteresis) + 1
+    del step
     if small.size == 0:
         return x
-    pts = x.tolist()
+    pts = memoryview(x)  # one Python float per point the merge reads
     dropped: list[int] = []
     resume = 0  # first index the scalar merge has not yet reached
     for start in small.tolist():
@@ -114,12 +129,13 @@ def rainflow(signal, hysteresis_frac: float = 0.0) -> Cycles:
         hyst = hysteresis_frac * float(np.ptp(x))
     # counted pair i runs from lo[i] to hi[i] in history order; `half`
     # holds the indices of the pairs that contained the starting point
-    lo: list[float] = []
-    hi: list[float] = []
+    lo = array("d")
+    hi = array("d")
     half: list[int] = []
     stack: list[float] = []
     start = 0  # stack index of the history's current starting point
-    for p in turning_points(x, hysteresis=hyst).tolist():
+    points = turning_points(x, hysteresis=hyst)
+    for p in memoryview(points):
         stack.append(p)
         n = len(stack) - start
         while n >= 3:
@@ -136,16 +152,23 @@ def rainflow(signal, hysteresis_frac: float = 0.0) -> Cycles:
                 break
             del stack[-3:-1]
             n -= 2
+    del points
     n_stack = len(lo)
     rest = stack[start:]
-    lo_a = np.array(lo + rest[:-1])
-    hi_a = np.array(hi + rest[1:])
+    lo.extend(rest[:-1])
+    hi.extend(rest[1:])
+    lo_a, hi_a = np.frombuffer(lo), np.frombuffer(hi)
     ranges = np.abs(hi_a - lo_a)
+    means = 0.5 * (lo_a + hi_a)
+    del lo_a, hi_a, lo, hi  # the endpoints are not needed past here
     counts = np.ones(ranges.size)
     counts[half] = 0.5
     counts[n_stack:] = 0.5  # the residual
+    # compressed one column at a time, so at most one exists twice
     keep = ranges > 0.0
-    return Cycles(ranges[keep], (0.5 * (lo_a + hi_a))[keep], counts[keep])
+    ranges = ranges[keep]
+    means = means[keep]
+    return Cycles(ranges, means, counts[keep])
 
 
 def damage_equivalent_load(cycles: Cycles, m: float, n_ref: float) -> float:

@@ -7,6 +7,7 @@ the decoupled second-order forms and are what the Bode sweep emits.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,19 @@ class FrequencyResponse:
             raise ParameterError("magnitude not finite on grid (pole on grid?)")
 
 
+@contextmanager
+def _overflow_is_an_error(label: str):
+    """Raise a numpy overflow, or the inf - inf or 0 * inf it leads to,
+    inside the block as a ParameterError that names it.  A pole on the
+    grid divides by zero instead, which FrequencyResponse reports."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ParameterError(f"{label} response overflows double precision "
+                             f"on the frequency grid ({exc})") from exc
+
+
 def default_grid(params: StructuralParams, n: int = 400) -> np.ndarray:
     """400 log-spaced points spanning [nu_plt/100, 100*nu_plt]."""
     nu_plt = math.sqrt(params.kt / params.jt)
@@ -55,8 +69,10 @@ def bode_gplt(params: StructuralParams, sens: AeroSensitivities, kbeta: float,
     else:
         raise ParameterError(f"unknown input channel {input_channel!r}")
     nu = np.asarray(nu_grid, dtype=float)
-    h = dc / (1.0 - (nu / summ.nu) ** 2 + 2j * summ.zeta * nu / summ.nu)
-    return FrequencyResponse(nu_grid=nu, magnitude=np.abs(h),
+    with _overflow_is_an_error(label):
+        h = dc / (1.0 - (nu / summ.nu) ** 2 + 2j * summ.zeta * nu / summ.nu)
+        magnitude = np.abs(h)
+    return FrequencyResponse(nu_grid=nu, magnitude=magnitude,
                              phase=np.unwrap(np.angle(h)), label=label)
 
 
@@ -71,9 +87,11 @@ def bode_grot(params: StructuralParams, sens: AeroSensitivities, kp: float,
     g = params.ng / params.jr
     summ = rotor_summary(params, sens, kp, ki)
     s = 1j * nu
-    denom = s ** 2 - g * sens.dta_domega * s - g * sens.dta_dbeta * (kp * s + ki)
-    h = g * sens.dta_dv * s / denom
-    return FrequencyResponse(nu_grid=nu, magnitude=np.abs(h),
+    with _overflow_is_an_error("omega<-v"):
+        denom = s ** 2 - g * sens.dta_domega * s - g * sens.dta_dbeta * (kp * s + ki)
+        h = g * sens.dta_dv * s / denom
+        magnitude = np.abs(h)
+    return FrequencyResponse(nu_grid=nu, magnitude=magnitude,
                              phase=np.unwrap(np.angle(h)), label="omega<-v",
                              degenerate=summ.degenerate)
 

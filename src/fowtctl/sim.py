@@ -74,7 +74,11 @@ class TimeSeries:
                   "%.6f" + ",%.12g" * len(names), columns)
 
     @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
+    def from_csv(cls, path, channel: str | None = None) -> "TimeSeries":
+        """The series a CSV file holds, every column parsed and checked.
+        With `channel`, only that channel is kept.  Each kept channel is
+        copied out of the parsed table, which is then freed: the time
+        column is read only for t0 and dt."""
         bad = None
         try:
             # the provenance and header lines by csv (a header cell may be
@@ -110,14 +114,20 @@ class TimeSeries:
         if bad.any():
             raise ParameterError(f"series file {path}: non-finite value in "
                                  f"data row {int(np.argmax(bad)) + 1}")
-        names, units = [], {}
-        for col in head[1:]:
+        columns, units = {}, {}
+        for i, col in enumerate(head[1:], 1):
             name, _, unit = col.partition(" [")
-            names.append(name)
+            columns[name] = i
             units[name] = unit.rstrip("]")
+        if channel is not None:
+            if channel not in columns:
+                raise ParameterError(f"channel {channel!r} not in {path} "
+                                     f"(has {sorted(columns)})")
+            columns = {channel: columns[channel]}
+            units = {channel: units[channel]}
         t = arr[:, 0]
         dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
-        channels = {n: arr[:, i + 1] for i, n in enumerate(names)}
+        channels = {n: arr[:, i].copy() for n, i in columns.items()}
         return cls(dt=dt, channels=channels, units=units, t0=float(t[0]))
 
 

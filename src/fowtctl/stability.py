@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GainSingularityError
+from .errors import GainSingularityError, ParameterError
 from .model import AeroSensitivities, StructuralParams
 
 #: relative distance to the strict-inequality boundary below which a
@@ -123,7 +123,11 @@ def numerator_omega(params: StructuralParams, sens: AeroSensitivities,
 def modal_report(a: np.ndarray) -> ModalReport:
     """Eigenvalues of the state matrix with per-mode natural frequency
     and damping ratio; stable iff all real parts negative."""
-    roots = np.linalg.eigvals(np.asarray(a, dtype=float)).astype(complex)
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ParameterError("state matrix is not finite: the parameters "
+                             "overflow double precision")
+    roots = np.linalg.eigvals(a).astype(complex)
     order = sorted(range(len(roots)), key=lambda i: (abs(roots[i]), roots[i].imag))
     roots = roots[order]
     modes = []

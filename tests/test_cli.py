@@ -663,20 +663,36 @@ assert not loaded(), ("fatigue, free_decay", loaded())
 """)
 
 
-def test_exact_simulation_of_an_overflowing_loop_diverges_at_the_first_step(
-        tmp_path, capsys):
-    # jr = 1e-300 makes A and the exponential of A*dt overflow
-    cfg = _cfg(tmp_path, SIM.replace("use = umaine-iea15", """ng = 1.0
+# jr = 1e-300 makes the closed loop's state matrix overflow
+OVERFLOW = SIM.replace("use = umaine-iea15", """ng = 1.0
 jr = 1e-300
 jt = 3.0e11
 dt = 1.0e8
 kt = 1.433e10
-ht = 150.0""").replace("duration = 60", "duration = 60\nmethod = exact"))
+ht = 150.0""")
+
+
+def test_exact_simulation_of_an_overflowing_loop_diverges_at_the_first_step(
+        tmp_path, capsys):
+    # A and the exponential of A*dt overflow
+    cfg = _cfg(tmp_path, OVERFLOW.replace("duration = 60",
+                                          "duration = 60\nmethod = exact"))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert "diverged at t=0.05 s" in capsys.readouterr().err
     text = (tmp_path / "o" / "timeseries.csv").read_text()
     assert "# diverged_at=0.05\n" in text
     assert len(_read_rows(tmp_path / "o" / "timeseries.csv")) == 1 + 2
+
+
+def test_overflowing_loop_ends_as_an_error_naming_the_overflow(tmp_path, capsys):
+    cfg = _cfg(tmp_path, OVERFLOW + "\n[campaign]\nwind_speeds = 12\n"
+               "strategies = none\n")
+    for command in ("analyze", "campaign", "bode"):
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and "overflow" in err, \
+            (command, err)
+        assert "pole on grid" not in err
 
 
 def test_campaign_runs_in_one_process(tmp_path):

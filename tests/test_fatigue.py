@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,24 @@ def test_rainflow_cycles_are_valid_and_conserve_counts(steps, frac):
     if frac == 0.0:
         n_tp = len(turning_points(sig))
         assert cycles.count.sum() == max(n_tp - 1, 0) / 2.0
+
+
+@pytest.mark.parametrize("name", ["turning_points", "rainflow"])
+def test_fatigue_path_peak_memory_below_twice_the_input(name):
+    # the points and counted endpoints are held in numpy buffers, not as
+    # one Python float each (about 32 bytes per kept point)
+    x = _mean_reverting_walk(0, n=200_000)
+    hyst = 1e-3 * float(np.ptp(x))
+    call = {"turning_points": lambda: turning_points(x, hysteresis=hyst),
+            "rainflow": lambda: rainflow(x, hysteresis_frac=1e-3)}[name]
+    call()  # warm-up: first-call caches are not the function's memory
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
 
 
 @pytest.mark.xfail(strict=True, reason="the hysteresis merge appends the "

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -111,6 +112,26 @@ def test_from_csv_parses_printed_floats_bit_equal(tmp_path_factory, values):
     for name, texts in (("a", short), ("b", full)):
         want = np.array([float(t) for t in texts])
         assert back.channels[name].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("channel", [None, "b"])
+def test_from_csv_keeps_only_its_channels(tmp_path, channel):
+    # the parsed table, time column included, is not kept alive behind
+    # views of its channel columns
+    path = tmp_path / "ts.csv"
+    x = np.arange(20_000.0)
+    TimeSeries(dt=0.05, channels={"a": np.sin(x), "b": np.cos(x)}).to_csv(path)
+    TimeSeries.from_csv(path, channel)  # warm-up: first-call caches are not kept data
+    tracemalloc.start()
+    try:
+        back = TimeSeries.from_csv(path, channel)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert list(back.channels) == (["a", "b"] if channel is None else ["b"])
+    assert back.channels["b"].tobytes() == np.array(
+        ["%.12g" % v for v in np.cos(x)], dtype=float).tobytes()
+    assert kept <= 1.1 * sum(v.nbytes for v in back.channels.values())
 
 
 # --- disturbances ------------------------------------------------------
