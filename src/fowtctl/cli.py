@@ -312,6 +312,11 @@ def main(argv=None) -> int:
     except FowtctlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # e.g. a step count no machine can hold, which numpy refuses at once
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

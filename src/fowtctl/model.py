@@ -166,6 +166,9 @@ def build_open_loop(params: StructuralParams, sens: AeroSensitivities) -> StateS
 
 
 def close_loop(ss: StateSpace, gains: ControlGains) -> StateSpace:
-    """Fold the feedback u_c = K0 x into the state matrix: A = A0 + Bc K0."""
-    a = ss.a0 + ss.bc @ gains.k0()
+    """Fold the feedback u_c = K0 x into the state matrix: A = A0 + Bc K0.
+    An overflow leaves inf or nan in A, which modal_report refuses and
+    simulate flags as diverged, so it is not warned about here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = ss.a0 + ss.bc @ gains.k0()
     return StateSpace(a0=ss.a0.copy(), bc=ss.bc.copy(), bd=ss.bd.copy(), a=a)

@@ -372,13 +372,16 @@ def _one_step_map(a: np.ndarray, b: np.ndarray, dt: float, method: str):
         phi_mat = _expm(aug * dt)
         return phi_mat[:4, :4], [(0.0, phi_mat[:4, 4:])]
     eye = np.eye(4)
-    ha = dt * a
-    ha2 = ha @ ha
-    ha3 = ha2 @ ha
-    p = eye + ha + ha2 / 2.0 + ha3 / 6.0 + ha3 @ ha / 24.0
-    g0 = dt / 6.0 * (eye + ha + ha2 / 2.0 + ha3 / 4.0) @ b
-    g_half = dt / 6.0 * (4.0 * eye + 2.0 * ha + ha2 / 2.0) @ b
-    g1 = dt / 6.0 * b
+    # an overflowing loop gives inf and nan here, and _recur flags the
+    # run diverged at its first step
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha = dt * a
+        ha2 = ha @ ha
+        ha3 = ha2 @ ha
+        p = eye + ha + ha2 / 2.0 + ha3 / 6.0 + ha3 @ ha / 24.0
+        g0 = dt / 6.0 * (eye + ha + ha2 / 2.0 + ha3 / 4.0) @ b
+        g_half = dt / 6.0 * (4.0 * eye + 2.0 * ha + ha2 / 2.0) @ b
+        g1 = dt / 6.0 * b
     return p, [(0.0, g0), (0.5, g_half), (1.0, g1)]
 
 
@@ -413,38 +416,64 @@ def _recur(p: np.ndarray, f: np.ndarray, x0: np.ndarray):
 
     Returns (states, diverged).  The recurrence is causal, so running on
     past a blow-up (under errstate) and cutting afterwards keeps every
-    earlier sample."""
+    earlier sample.
+
+    f is dropped once copied into the scan's work array, so a caller
+    that passes it without keeping a reference of its own never holds
+    the forcing, the work array and the states at once."""
     pw = _powers(p)
     b, m = pw.shape[:2]
     n = len(f)
     nb = -(-n // b)
-    # y[i, j] is step i of block j; the padding past step n is dropped.
+    full, tail = divmod(n, b)
+    # y[i, j] is step i of block j; the zero padding past step n is dropped.
     # Every product below is one (nb, m) @ (m, m) or (m, m) @ (m, nb)
     # per row of a stack, small enough for BLAS to keep on one thread;
     # one product over all blocks is split over threads on long runs,
     # which costs CPU and saves no wall time.
-    y = np.zeros((nb * b, m))
-    y[:n] = f
-    y = y.reshape(nb, b, m).transpose(1, 0, 2).copy()
-    states = np.empty((n + 1, m))
-    states[0] = x = x0
+    y = np.empty((b, nb, m))
+    y[:, :full] = f[:full * b].reshape(full, b, m).transpose(1, 0, 2)
+    if tail:
+        y[:tail, full] = f[full * b:]
+        y[tail:, full] = 0.0
+    del f
     starts = np.empty((nb, m))
+    x = x0
     with np.errstate(over="ignore", invalid="ignore"):
         d = 1
         while d < b:
             y[d:] += y[:-d] @ pw[d - 1].T
             d *= 2
-        for j, end in enumerate(y[-1]):
+        # by index: a loop variable left on a row of y would keep y alive
+        for j in range(nb):
             starts[j] = x
-            x = pw[-1] @ x + end
+            x = pw[-1] @ x + y[-1, j]
         y += (pw @ starts.T).transpose(0, 2, 1)
-        states[1:] = y.transpose(1, 0, 2).reshape(nb * b, m)[:n]
+        # the padded steps are written too and cut off by the view
+        buf = np.empty((nb * b + 1, m))
+        buf[0] = x0
+        buf[1:].reshape(nb, b, m)[...] = y.transpose(1, 0, 2)
+        del y
+        states = buf[:n + 1]
         # one pass: nan and inf fail the comparison as well
         s = states[1:]
         bad = ~(np.sqrt(np.einsum("ij,ij->i", s, s)) <= _DIVERGENCE_NORM)
     if bad.any():
         return states[:int(np.argmax(bad)) + 2], True
     return states, False
+
+
+def _forcing(u, t: np.ndarray, dt: float, stages) -> np.ndarray:
+    """f[k] = sum_j G_j u(t[k] + c_j dt) for each step k, summed into one
+    array from zeros, as sum() adds from 0 (so -0.0 reads 0.0)."""
+    f = np.zeros((len(t) - 1, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, g in stages:
+            # stage times as t[k] + c*dt, not t[k+1]: the two differ by an
+            # ulp on some grid points, which would move a step onset by
+            # one stage
+            f += u(t[:-1] + c * dt) @ g.T
+    return f
 
 
 def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
@@ -466,15 +495,16 @@ def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
     t = dt * np.arange(n)
     u = build_inputs(disturbances, dt, t_end)
     p, stages = _one_step_map(ss.closed, ss.b_full(), dt, method)
-    # stage times as t[k] + c*dt, not t[k+1]: the two differ by an ulp
-    # on some grid points, which would move a step onset by one stage
-    f = sum(u(t[:-1] + c * dt) @ g.T for c, g in stages)
-    states, diverged = _recur(p, f, np.zeros(4))
+    # passed, not kept, so that _recur can free it
+    states, diverged = _recur(p, _forcing(u, t, dt, stages), np.zeros(4))
     n = len(states)
     rows = u(t[:n])
     beta = (gains.kp * states[:, 1] + gains.ki * states[:, 0]
             + gains.kbeta * states[:, 3] + rows[:, 0])
-    channels = _derived_channels(params, sens, states, beta, rows[:, 2], rows[:, 3])
+    # copies, so that the sampled rows are freed here
+    v, w = rows[:, 2].copy(), rows[:, 3].copy()
+    del rows
+    channels = _derived_channels(params, sens, states, beta, v, w)
     meta = {"method": method}
     if diverged:
         meta["diverged_at"] = float(t[n - 1])

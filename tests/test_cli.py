@@ -672,12 +672,25 @@ kt = 1.433e10
 ht = 150.0""")
 
 
+def _main_without_runtime_warnings(argv) -> int:
+    """main(argv)'s exit code, checking that it raised no RuntimeWarning:
+    outside pytest each one would print a numpy source line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    raised = [f"{w.category.__name__}: {w.message}" for w in caught
+              if issubclass(w.category, RuntimeWarning)]
+    assert not raised, (argv[0], raised)
+    return rc
+
+
 def test_exact_simulation_of_an_overflowing_loop_diverges_at_the_first_step(
         tmp_path, capsys):
     # A and the exponential of A*dt overflow
     cfg = _cfg(tmp_path, OVERFLOW.replace("duration = 60",
                                           "duration = 60\nmethod = exact"))
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert _main_without_runtime_warnings(
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert "diverged at t=0.05 s" in capsys.readouterr().err
     text = (tmp_path / "o" / "timeseries.csv").read_text()
     assert "# diverged_at=0.05\n" in text
@@ -685,14 +698,26 @@ def test_exact_simulation_of_an_overflowing_loop_diverges_at_the_first_step(
 
 
 def test_overflowing_loop_ends_as_an_error_naming_the_overflow(tmp_path, capsys):
+    # campaign runs each case's rk4 simulation before its modal report,
+    # so it also meets the overflowing one-step map and forcing
     cfg = _cfg(tmp_path, OVERFLOW + "\n[campaign]\nwind_speeds = 12\n"
                "strategies = none\n")
     for command in ("analyze", "campaign", "bode"):
-        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        rc = _main_without_runtime_warnings(
+            [command, "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and "overflow" in err, \
             (command, err)
         assert "pole on grid" not in err
+
+
+def test_infeasible_step_count_ends_as_an_error(tmp_path, capsys):
+    # 6e17 steps: numpy refuses the 4 EiB time grid before allocating it
+    cfg = _cfg(tmp_path, SIM.replace("dt = 0.05", "dt = 1e-15")
+               .replace("duration = 60", "duration = 600"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and "allocate" in err, err
 
 
 def test_campaign_runs_in_one_process(tmp_path):

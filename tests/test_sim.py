@@ -372,6 +372,31 @@ def test_powers_match_the_per_power_loop():
     assert {1, _BLOCK} <= lengths and len(lengths) > 10
 
 
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_simulate_memory_per_step(closed_t1f, params, sens_t1f, method):
+    # the forcing, the scan's work array and the states are never all
+    # held at once, and the returned channels keep no sampled input rows
+    ss, gains = closed_t1f
+    specs = [DisturbanceSpec(kind="jonswap-wave", hs=1.5, period=11.0,
+                             gamma=3.3, seed=1),
+             DisturbanceSpec(kind="step-wind", amplitude=1.0, onset=100.0)]
+
+    def run():
+        return simulate(ss, gains, params, sens_t1f, specs, dt=0.05,
+                        t_end=600.0, method=method)
+
+    run()  # warm-up: first-call caches are not the function's memory
+    tracemalloc.start()
+    try:
+        ts = run()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 12_001
+    assert peak <= 130 * len(ts)
+    assert kept <= 80 * len(ts)
+
+
 def test_simulate_divergence_truncates_and_flags(params, sens_t1f):
     a_unstable = np.diag([1.0, 1.0, 1.0, 1.0]) * 5.0
     ss = StateSpace(a0=a_unstable.copy(),
