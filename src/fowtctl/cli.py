@@ -210,11 +210,11 @@ def _campaign_case(cfg: RunConfig, speed: float, sens: AeroSensitivities,
     diverged = "diverged_at" in ts.meta
     t_skip = cfg.transient if cfg.transient < cfg.duration else 0.0
     post = ts.window(t_skip) if not diverged else ts
-    stats = []
-    for name in STAT_CHANNELS:
-        ch = post.channels[name]
-        stats += [float(np.min(ch)), float(np.mean(ch)),
-                  float(np.max(ch)), float(np.std(ch))]
+    # one row per channel: each reduction runs along a contiguous row, in
+    # the order a call on that channel alone would sum it
+    chans = np.stack([post.channels[name] for name in STAT_CHANNELS])
+    stats = np.column_stack([chans.min(axis=1), chans.mean(axis=1),
+                             chans.max(axis=1), chans.std(axis=1)]).ravel().tolist()
     _, del_tower, damage = _evaluate_fatigue(post.channels["tower_moment"],
                                              cfg.fatigue)
     label = strategy_label(strategy)

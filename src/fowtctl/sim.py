@@ -12,6 +12,7 @@ damping estimate runs on the same recurrence with zero forcing.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -55,14 +56,15 @@ class TimeSeries:
         return self.t0 + self.dt * np.arange(len(self))
 
     def window(self, t_start: float) -> "TimeSeries":
-        """Sub-series from t_start on."""
+        """Sub-series from t_start on: copies of the channels from the
+        first sample at or after t_start."""
         t = self.time
-        idx = np.flatnonzero(t >= t_start)
+        i = int(np.searchsorted(t, t_start))
         return TimeSeries(
             dt=self.dt,
-            channels={k: v[idx] for k, v in self.channels.items()},
+            channels={k: v[i:].copy() for k, v in self.channels.items()},
             units=dict(self.units),
-            t0=float(t[idx[0]]) if idx.size else self.t0,
+            t0=float(t[i]) if i < len(t) else self.t0,
             meta=dict(self.meta),
         )
 
@@ -110,10 +112,9 @@ class TimeSeries:
         if head is None or len(arr) == 0 or arr.shape[1] != len(head):
             raise ParameterError(f"series file {path} needs a header row and "
                                  "data rows with one value per column")
-        bad = ~np.isfinite(arr).all(axis=1)
-        if bad.any():
-            raise ParameterError(f"series file {path}: non-finite value in "
-                                 f"data row {int(np.argmax(bad)) + 1}")
+        bad = _non_finite_row(arr)
+        if bad is not None:
+            raise ParameterError(f"series file {path}: {bad}")
         columns, units = {}, {}
         for i, col in enumerate(head[1:], 1):
             name, _, unit = col.partition(" [")
@@ -129,6 +130,16 @@ class TimeSeries:
         dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
         channels = {n: arr[:, i].copy() for n, i in columns.items()}
         return cls(dt=dt, channels=channels, units=units, t0=float(t[0]))
+
+
+def _non_finite_row(arr: np.ndarray) -> str | None:
+    """Names the first row of a parsed table that holds a non-finite
+    value, counting from 1, or None.  The whole table is tested first, so
+    a clean one costs a single pass."""
+    if np.isfinite(arr).all():
+        return None
+    row = int(np.argmax(~np.isfinite(arr).all(axis=1))) + 1
+    return f"non-finite value in data row {row}"
 
 
 def _first_bad_row(path, skip: int, width: int) -> str | None:
@@ -218,6 +229,8 @@ class DisturbanceSpec:
             raise ParameterError(f"{self.kind} requires period > 0")
         if self.hs < 0.0:
             raise ParameterError(f"hs must be >= 0 (got {self.hs})")
+        if not self.gamma > 0.0:
+            raise ParameterError(f"gamma must be > 0 (got {self.gamma})")
         if self.onset < 0.0:
             raise ParameterError(f"onset must be >= 0 (got {self.onset})")
         if self.kind == "jonswap-wave" and self.seed is None:
@@ -245,6 +258,19 @@ def jonswap_spectrum(f: np.ndarray, hs: float, tp: float, gamma: float) -> np.nd
     return s
 
 
+@functools.lru_cache(maxsize=8)
+def _jonswap_amplitudes(n: int, dt: float, hs: float, tp: float,
+                        gamma: float) -> np.ndarray:
+    """sqrt(2 S(f) df) on the rfft grid of n samples at dt.  Formed once
+    per sea state and grid, so the cases of a campaign, which differ only
+    in their seeds, share one read-only array."""
+    f = rfftfreq(n, dt)
+    df = f[1] if len(f) > 1 else 1.0
+    amp = np.sqrt(2.0 * jonswap_spectrum(f, hs, tp, gamma) * df)
+    amp.flags.writeable = False
+    return amp
+
+
 def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
                  dt: float, t_end: float) -> np.ndarray:
     """Irregular wave elevation (m) at dt * arange(n), n = round(t_end / dt)
@@ -256,12 +282,9 @@ def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
         warnings.warn(f"duration {t_end} s short for spectral resolution "
                       f"(< 10*Tp = {10 * tp} s)", UserWarning, stacklevel=2)
     n = int(round(t_end / dt)) + 1
-    f = rfftfreq(n, dt)
-    df = f[1] if len(f) > 1 else 1.0
-    s = jonswap_spectrum(f, hs, tp, gamma)
-    amp = np.sqrt(2.0 * s * df)
+    amp = _jonswap_amplitudes(n, dt, hs, tp, gamma)
     rng = default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(f))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(amp))
     spec = 0.5 * n * amp * np.exp(1j * phases)
     spec[0] = 0.0
     if n % 2 == 0:
@@ -270,14 +293,24 @@ def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
 
 
 def load_wind_file(path):
-    """Two-column CSV (t, v); returns the (t, v) sample arrays."""
+    """Two-column CSV (t, v); returns the (t, v) sample arrays.  Every
+    value must be finite and t strictly increasing, which np.interp
+    needs to sample it."""
     try:
         data = np.loadtxt(path, delimiter=",", comments="#")
     except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read wind file {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] < 2:
         raise ParameterError(f"wind file {path} must have two columns (t, v)")
-    return data[:, 0], data[:, 1]
+    bad = _non_finite_row(data)
+    if bad is not None:
+        raise ParameterError(f"wind file {path}: {bad}")
+    t = data[:, 0]
+    steps = np.diff(t) > 0.0
+    if not steps.all():
+        raise ParameterError(f"wind file {path}: t must be strictly increasing "
+                             f"(data row {int(np.argmin(steps)) + 2})")
+    return t, data[:, 1]
 
 
 def build_inputs(disturbances, dt: float, t_end: float):
@@ -398,7 +431,7 @@ def _powers(p: np.ndarray) -> np.ndarray:
     pw[0] = p
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, _BLOCK):
-            pw[k] = pw[k - 1] @ p
+            np.dot(pw[k - 1], p, out=pw[k])
         big = ~(np.abs(pw[1:]).max(axis=(1, 2)) < _POWER_LIMIT)
     return pw[:1 + int(np.argmax(big))] if big.any() else pw
 

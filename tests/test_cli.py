@@ -209,6 +209,41 @@ strategies = none, reference
         (tmp_path / "b" / "campaign.csv").read_bytes()
 
 
+@pytest.mark.parametrize("sens", ["table1-false", "table1-true", "table2-false",
+                                  "table2-true", "table3-both"])
+def test_campaign_statistics_equal_the_per_channel_reductions(tmp_path,
+                                                              monkeypatch, sens):
+    """Each case's min, mean, max and std, bit for bit as numpy gives
+    them for the channel alone, over the series past the transient."""
+    windows, rows = [], []
+    window, case = TimeSeries.window, cli._campaign_case
+
+    def keep_window(ts, t_start):
+        windows.append(window(ts, t_start))
+        return windows[-1]
+
+    def keep_row(*args):
+        rows.append(case(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(TimeSeries, "window", keep_window)
+    monkeypatch.setattr(cli, "_campaign_case", keep_row)
+    cfg = _cfg(tmp_path, SIM.replace("use = table1-false", f"use = {sens}")
+               .replace("duration = 60", "duration = 60\ntransient = 20.02")
+               + "\n[campaign]\nwind_speeds = 12, 18\n"
+               "strategies = none, zeta-fixed:0.10\n")
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(rows) == len(windows) == 4
+    for row, post in zip(rows, windows):
+        assert post.t0 == pytest.approx(20.05) and len(post) == 800
+        want = []
+        for name in cli.STAT_CHANNELS:
+            ch = post.channels[name]
+            want += [float(np.min(ch)), float(np.mean(ch)),
+                     float(np.max(ch)), float(np.std(ch))]
+        assert row[9:9 + len(want)] == tuple(want)
+
+
 def test_campaign_without_grid_errors(tmp_path, capsys):
     cfg = _cfg(tmp_path, SIM)
     assert main(["campaign", "--config", cfg,
@@ -478,6 +513,48 @@ def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):
     assert b'\r\nchannel,"load, tower"\r\n' in data
     rows = _read_rows(tmp_path / "o" / "fatigue_summary.csv")
     assert rows[1] == ["channel", "load, tower"]
+
+
+@pytest.mark.parametrize("body,msg", [
+    pytest.param("0,10\n# gust\n100,nan\n600,12\n",
+                 "non-finite value in data row 2", id="nan"),
+    pytest.param("0,10\n300,12\n600,inf\n", "non-finite value in data row 3",
+                 id="inf"),
+    pytest.param("0,10\n300,14\n200,12\n600,13\n",
+                 "t must be strictly increasing (data row 3)", id="unsorted"),
+    pytest.param("0,10\n300,14\n300,12\n600,13\n",
+                 "t must be strictly increasing (data row 3)", id="repeated-t"),
+])
+def test_bad_wind_file_ends_as_error(tmp_path, capsys, body, msg):
+    wind = tmp_path / "wind.csv"
+    wind.write_text(body)
+    cfg = _cfg(tmp_path, BASE + f"""
+[simulation]
+duration = 600
+
+[disturbance.wind]
+kind = wind-file
+path = {wind}
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported as an error, not warned about
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(wind) in err and msg in err
+    assert not (tmp_path / "o" / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("gamma,rc", [("-1", 2), ("0", 2), ("0.5", 0)])
+def test_jonswap_gamma_must_be_positive(tmp_path, capsys, gamma, rc):
+    cfg = _cfg(tmp_path, SIM.replace("gamma = 2", f"gamma = {gamma}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the short-duration note
+        warnings.simplefilter("error", RuntimeWarning)  # refused, not warned about
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == rc
+    err = capsys.readouterr().err
+    assert ("gamma must be > 0" in err) == (rc == 2)
 
 
 @pytest.mark.parametrize("kind,name,body,msg", [

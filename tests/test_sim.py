@@ -16,8 +16,8 @@ from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
 from fowtctl.sim import (_BLOCK, _POWER_LIMIT, _ROW_BLOCK, DisturbanceSpec,
-                         TimeSeries, _expm, _powers, _recur, build_inputs, csv_cell,
-                         free_decay,
+                         TimeSeries, _expm, _jonswap_amplitudes, _powers, _recur,
+                         build_inputs, csv_cell, free_decay,
                          jonswap_spectrum, jonswap_wave, simulate, write_csv)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
@@ -46,6 +46,38 @@ def test_timeseries_time_and_window():
     assert win.t0 == 3.5
     np.testing.assert_allclose(win.channels["a"], [7.0, 8.0, 9.0])
     assert len(ts.window(5.0)) == 0
+
+
+def _window_by_mask(ts, t_start):
+    """window as a boolean mask over the time axis and a gather."""
+    t = ts.time
+    idx = np.flatnonzero(t >= t_start)
+    return ({k: v[idx] for k, v in ts.channels.items()},
+            float(t[idx[0]]) if idx.size else ts.t0)
+
+
+@pytest.mark.parametrize("t_start", [-1.0, 0.3, 0.3 + 0.1 * 7, 0.3 + 0.1 * 7 + 0.04,
+                                     0.3 + 0.1 * 19, 0.3 + 0.1 * 19 + 1e-9, 50.0],
+                         ids=["before", "first-sample", "on-sample",
+                              "between-samples", "last-sample", "past-last", "past-end"])
+def test_window_equals_the_mask_and_gather(t_start):
+    rng = np.random.default_rng(5)
+    ts = TimeSeries(dt=0.1, t0=0.3, units={"a": "m"}, meta={"k": 1},
+                    channels={"a": rng.normal(size=20), "b": rng.normal(size=20)})
+    win = ts.window(t_start)
+    channels, t0 = _window_by_mask(ts, t_start)
+    assert win.t0 == t0 and win.dt == ts.dt
+    assert win.units == ts.units and win.meta == ts.meta
+    for name, values in channels.items():
+        assert np.array_equal(win.channels[name], values)
+    before = {k: v.copy() for k, v in ts.channels.items()}
+    for values in win.channels.values():
+        values += 1.0
+    win.units["a"] = "x"
+    win.meta["k"] = 2
+    for name, values in ts.channels.items():
+        assert np.array_equal(values, before[name])
+    assert ts.units == {"a": "m"} and ts.meta == {"k": 1}
 
 
 def test_timeseries_csv_round_trip(tmp_path):
@@ -143,6 +175,8 @@ def test_from_csv_keeps_only_its_channels(tmp_path, channel):
     (dict(kind="wind-file"), "path"),
     (dict(kind="step-wind", onset=-1.0), "onset"),
     (dict(kind="jonswap-wave", period=11.0, hs=1.5, seed=-1), "seed"),
+    (dict(kind="jonswap-wave", period=11.0, hs=1.5, seed=1, gamma=0.0), "gamma"),
+    (dict(kind="jonswap-wave", period=11.0, hs=1.5, seed=1, gamma=-1.0), "gamma"),
 ])
 def test_disturbance_validation(kwargs, msg):
     with pytest.raises(ParameterError, match=msg):
@@ -157,6 +191,7 @@ def test_jonswap_spectrum_zeroth_moment():
 
 
 def test_jonswap_wave_deterministic_and_scaled():
+    _jonswap_amplitudes.cache_clear()  # a forms the amplitudes, b reads them
     a = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=3, dt=0.1, t_end=600.0)
     b = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=3, dt=0.1, t_end=600.0)
     assert a.shape == (6001,)  # one sample per dt, both ends included
@@ -165,6 +200,20 @@ def test_jonswap_wave_deterministic_and_scaled():
     assert not np.array_equal(a, c)
     # standard deviation approximates hs/4
     assert np.std(a) == pytest.approx(1.5 / 4.0, rel=0.15)
+
+
+def test_jonswap_seeds_share_one_read_only_amplitude_array():
+    _jonswap_amplitudes.cache_clear()
+    a = jonswap_wave(hs=1.5, tp=11.0, gamma=3.3, seed=1, dt=0.05, t_end=120.0)
+    b = jonswap_wave(hs=1.5, tp=11.0, gamma=3.3, seed=2, dt=0.05, t_end=120.0)
+    assert not np.array_equal(a, b)
+    info = _jonswap_amplitudes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    amp = _jonswap_amplitudes(2401, 0.05, 1.5, 11.0, 3.3)  # the shared array
+    assert _jonswap_amplitudes.cache_info().hits == 2
+    assert not amp.flags.writeable
+    with pytest.raises(ValueError):
+        amp[1] = 0.0
 
 
 def test_jonswap_short_duration_warns():
