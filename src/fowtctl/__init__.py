@@ -4,6 +4,25 @@ time- and frequency-domain simulation, and rainflow fatigue
 post-processing.
 """
 
+import os as _os
+
+# numpy's bundled OpenBLAS starts one worker thread per extra CPU when it
+# loads, and each worker spins for about 0.1 s of CPU before it sleeps; no
+# product fowtctl forms has an inner dimension above 8, so none gains from a
+# second thread.  OpenBLAS reads its thread count once, at load, so the
+# variable is set only around the import and then removed: the caller's
+# environment and any child process see what they had before.  A count the
+# caller chose (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS,
+# which OpenBLAS also reads) always wins, and nothing changes when numpy was
+# imported before fowtctl.
+if not any(_v in _os.environ for _v in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import ConfigError, FowtctlError, GainSingularityError, ParameterError
 from .fatigue import (Cycle, Cycles, WohlerCurve, damage_equivalent_load,
                       miner_damage, rainflow, turning_points)

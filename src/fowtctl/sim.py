@@ -295,13 +295,19 @@ def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
 def load_wind_file(path):
     """Two-column CSV (t, v); returns the (t, v) sample arrays.  Every
     value must be finite and t strictly increasing, which np.interp
-    needs to sample it."""
+    needs to sample it; a single row is a constant wind."""
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#")
+        with warnings.catch_warnings():
+            # an empty file is reported below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read wind file {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ParameterError(f"wind file {path} must have two columns (t, v)")
+    if len(data) == 0:
+        raise ParameterError(f"wind file {path} has no data rows")
+    if data.shape[1] < 2:
+        raise ParameterError(f"wind file {path} has one column; "
+                             "it needs two (t, v)")
     bad = _non_finite_row(data)
     if bad is not None:
         raise ParameterError(f"wind file {path}: {bad}")

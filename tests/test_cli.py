@@ -524,6 +524,10 @@ def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):
                  "t must be strictly increasing (data row 3)", id="unsorted"),
     pytest.param("0,10\n300,14\n300,12\n600,13\n",
                  "t must be strictly increasing (data row 3)", id="repeated-t"),
+    pytest.param("", "has no data rows", id="empty"),
+    pytest.param("# t, v\n", "has no data rows", id="comment-only"),
+    pytest.param("0\n300\n600\n", "has one column; it needs two (t, v)",
+                 id="one-column"),
 ])
 def test_bad_wind_file_ends_as_error(tmp_path, capsys, body, msg):
     wind = tmp_path / "wind.csv"
@@ -543,6 +547,25 @@ path = {wind}
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(wind) in err and msg in err
     assert not (tmp_path / "o" / "timeseries.csv").exists()
+
+
+def test_one_row_wind_file_is_a_constant_wind(tmp_path):
+    wind = tmp_path / "one.csv"
+    wind.write_text("0,10\n")
+    cfg = _cfg(tmp_path, BASE + f"""
+[simulation]
+duration = 60
+
+[disturbance.wind]
+kind = wind-file
+path = {wind}
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+    ts = TimeSeries.from_csv(tmp_path / "o" / "timeseries.csv", channel="v")
+    assert len(ts.channels["v"]) == 1201 and (ts.channels["v"] == 10.0).all()
 
 
 @pytest.mark.parametrize("gamma,rc", [("-1", 2), ("0", 2), ("0.5", 0)])
@@ -818,15 +841,18 @@ assert not pools, pools
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 40 000 steps: one product over all blocks at once would be large
-    # enough for OpenBLAS to split it over threads
+    # enough for OpenBLAS to split it over threads.  fowtctl loads numpy
+    # with one thread unless the caller names a count, so the other side
+    # names two.
     cfg = _cfg(tmp_path, SIM.replace("duration = 60", "duration = 2000")
                + "\n[disturbance.step]\nkind = step-wind\namplitude = 1\n"
                "onset = 100\n")
-    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    default = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     for name, env in (("default", default),
-                      ("one", {**default, "OPENBLAS_NUM_THREADS": "1"})):
+                      ("two", {**default, "OPENBLAS_NUM_THREADS": "2"})):
         argv = ["simulate", "--config", cfg, "--out", str(tmp_path / name)]
         _run_python(f"from fowtctl.cli import main\nassert main({argv!r}) == 0\n",
                     env)
     assert (tmp_path / "default" / "timeseries.csv").read_bytes() == \
-        (tmp_path / "one" / "timeseries.csv").read_bytes()
+        (tmp_path / "two" / "timeseries.csv").read_bytes()
