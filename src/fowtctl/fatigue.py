@@ -102,8 +102,10 @@ def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
                 if at == i - 1:
                     break  # in step again
                 prev, last, at = last, p, i
-            elif (last - prev) * (p - last) > 0.0:
-                # keep the more extreme of the merged pair
+            elif prev < last < p or prev > last > p:
+                # keep the more extreme of the merged pair; compared, not
+                # multiplied, as above: the product of a move of the
+                # hysteresis and a subnormal one can round to zero
                 dropped.append(at)
                 last, at = p, i
             else:

@@ -17,13 +17,15 @@ EXAMPLE = [-2.0, 1.0, -3.0, 5.0, -1.0, 3.0, -4.0, 4.0, -2.0]
 def _turning_points_loop(signal, hysteresis=0.0):
     """Per-sample reference: keep a sample where the slope from the last
     kept point changes sign, drop flat repeats, then merge moves smaller
-    than the hysteresis onto the more extreme point."""
+    than the hysteresis onto the more extreme point.  Slope signs are
+    compared, not multiplied: a product with a subnormal slope can round
+    to zero and hide an extremum or a merge."""
     x = [float(v) for v in signal]
     if len(x) < 2:
         return np.array(x)
     keep = [x[0]]
     for i in range(1, len(x) - 1):
-        if (x[i] - keep[-1]) * (x[i + 1] - x[i]) < 0.0:
+        if keep[-1] < x[i] > x[i + 1] or keep[-1] > x[i] < x[i + 1]:
             keep.append(x[i])
     keep.append(x[-1])
     pts = [keep[0]] + [b for a, b in zip(keep, keep[1:]) if b != a]
@@ -32,7 +34,8 @@ def _turning_points_loop(signal, hysteresis=0.0):
         for p in pts[1:]:
             if abs(p - merged[-1]) >= hysteresis:
                 merged.append(p)
-            elif len(merged) > 1 and (merged[-1] - merged[-2]) * (p - merged[-1]) > 0.0:
+            elif len(merged) > 1 and (merged[-2] < merged[-1] < p
+                                      or merged[-2] > merged[-1] > p):
                 merged[-1] = p
         pts = merged
     return np.array(pts)
@@ -81,6 +84,8 @@ def _chatter(draw):
 @example((np.array([0.0, 0.1, 5.0, 4.9]), 1.0))  # small at index 1 and last
 @example((np.array([0.0, 10.0, 9.8, 20.0]), 1.0))  # the non-extremum kept
 @example((np.array([0.0, 5.0, 4.6, 4.9, 4.7, 5.2, 0.0]), 1.0))  # a run
+@example((np.array([0.0, 5e-324, -0.5, -0.5]), 1.0))  # a subnormal extremum
+@example((np.array([-0.5, 0.0, -0.1, 5e-324]), 0.5))  # a subnormal merge
 @settings(max_examples=300, deadline=None)
 def test_turning_points_merge_matches_the_per_sample_loop(case):
     x, hyst = case
