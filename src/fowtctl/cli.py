@@ -196,13 +196,13 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
     return 0
 
 
-def _campaign_case(cfg: RunConfig, speed: float, sens: AeroSensitivities,
-                   strategy: tuple[str, float | None], case_seed: int | None):
+def _campaign_case(cfg: RunConfig, index: int, speed: float,
+                   sens: AeroSensitivities, strategy: tuple[str, float | None]):
     """One campaign.csv row: synthesized gains, stability, statistics and
-    tower fatigue of one (speed, strategy) simulation under sens."""
+    tower fatigue of one (speed, strategy) simulation under sens.  index
+    numbers the case in the grid and keys its JONSWAP phases."""
     kind, zeta = strategy
-    disturbances = [replace(spec, seed=case_seed) if spec.kind == "jonswap-wave"
-                    else spec for spec in cfg.disturbances]
+    disturbances = [replace(spec, case=index) for spec in cfg.disturbances]
     case = replace(cfg, sens=sens, strategy=kind, zeta_plt=zeta,
                    gains_override=None, disturbances=disturbances)
     gains = _resolve_gains(case)
@@ -235,9 +235,8 @@ def cmd_campaign(cfg: RunConfig, out: Path) -> int:
             else cfg.sens for speed in cfg.campaign_speeds}
     grid = [(speed, strat) for speed in cfg.campaign_speeds
             for strat in cfg.campaign_strategies]
-    seeds = [None if cfg.seed is None else cfg.seed + i for i in range(len(grid))]
-    rows = sorted((_campaign_case(cfg, speed, sens[speed], strat, seed)
-                   for (speed, strat), seed in zip(grid, seeds)),
+    rows = sorted((_campaign_case(cfg, i, speed, sens[speed], strat)
+                   for i, (speed, strat) in enumerate(grid)),
                   key=lambda row: (row[1], row[2]))  # speed, then strategy
 
     head = ["case_id", "wind_speed [m/s]", "strategy",

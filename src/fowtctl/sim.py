@@ -14,16 +14,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import random
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-# numpy loads these submodules lazily.  Importing them here puts their
-# cost in start-up, with the rest of numpy, rather than in the first
-# wave a command synthesizes.
 from numpy.fft import irfft, rfftfreq
-from numpy.random import default_rng
 
 from .errors import ParameterError
 from .model import AeroSensitivities, ControlGains, StateSpace, StructuralParams
@@ -221,6 +218,7 @@ class DisturbanceSpec:
     gamma: float = 1.0      # peak-enhancement factor (jonswap)
     seed: int | None = None
     path: str | None = None  # two-column CSV (t, v) for wind-file
+    case: int = 0           # campaign case index, keys the jonswap phases
 
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
@@ -258,12 +256,29 @@ def jonswap_spectrum(f: np.ndarray, hs: float, tp: float, gamma: float) -> np.nd
     return s
 
 
+def _smooth_length(n: int) -> int:
+    """The least m >= n with no prime factor above 5, a length pocketfft
+    transforms without its Bluestein fallback."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @functools.lru_cache(maxsize=8)
 def _jonswap_amplitudes(n: int, dt: float, hs: float, tp: float,
                         gamma: float) -> np.ndarray:
     """sqrt(2 S(f) df) on the rfft grid of n samples at dt.  Formed once
     per sea state and grid, so the cases of a campaign, which differ only
-    in their seeds, share one read-only array."""
+    in their phases, share one read-only array."""
     f = rfftfreq(n, dt)
     df = f[1] if len(f) > 1 else 1.0
     amp = np.sqrt(2.0 * jonswap_spectrum(f, hs, tp, gamma) * df)
@@ -271,25 +286,39 @@ def _jonswap_amplitudes(n: int, dt: float, hs: float, tp: float,
     return amp
 
 
+def _phases(key: str, count: int) -> np.ndarray:
+    """count phases uniform on [0, 2 pi), drawn from the standard
+    library's Mersenne Twister seeded with key: 53 random bits each, as
+    random.random() takes them.  numpy.random is not used: importing it
+    alone adds about 2.5 MB of resident memory to every command."""
+    bits = np.frombuffer(random.Random(key).randbytes(8 * count), "<u8") >> 11
+    return bits * (2.0 * math.pi / 2.0 ** 53)
+
+
 def jonswap_wave(hs: float, tp: float, gamma: float, seed: int,
-                 dt: float, t_end: float) -> np.ndarray:
+                 dt: float, t_end: float, section: int = 0,
+                 case: int = 0) -> np.ndarray:
     """Irregular wave elevation (m) at dt * arange(n), n = round(t_end / dt)
-    + 1: inverse-FFT of the JONSWAP spectrum with seeded random phases.
-    Deterministic for a given seed."""
+    + 1: inverse-FFT of the JONSWAP spectrum with random phases, on the
+    least 5-smooth length m >= n, of which the first n samples are kept.
+    The phases come from one stream per (seed, section, case): section
+    numbers a run's JONSWAP disturbances from 0, and case a campaign's
+    cases from 0 (0 for a single run).  Deterministic for a given key."""
     if tp <= 0.0:
         raise ParameterError(f"tp must be > 0 (got {tp})")
     if t_end < 10.0 * tp:
         warnings.warn(f"duration {t_end} s short for spectral resolution "
                       f"(< 10*Tp = {10 * tp} s)", UserWarning, stacklevel=2)
     n = int(round(t_end / dt)) + 1
-    amp = _jonswap_amplitudes(n, dt, hs, tp, gamma)
-    rng = default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(amp))
-    spec = 0.5 * n * amp * np.exp(1j * phases)
+    m = _smooth_length(n)
+    amp = _jonswap_amplitudes(m, dt, hs, tp, gamma)
+    phases = _phases(f"jonswap-wave seed={seed} section={section} case={case}",
+                     len(amp))
+    spec = 0.5 * m * amp * np.exp(1j * phases)
     spec[0] = 0.0
-    if n % 2 == 0:
+    if m % 2 == 0:
         spec[-1] = 0.0
-    return irfft(spec, n=n)
+    return irfft(spec, n=m)[:n]
 
 
 def load_wind_file(path):
@@ -325,7 +354,9 @@ def build_inputs(disturbances, dt: float, t_end: float):
     u(tt) returns the rows (beta_ol, tau_g_ol, v, w), one per time in tt;
     contributions to the same channel add: steps before wind files, mono
     waves before the summed irregular waves.  Wave series are synthesized
-    here once and interpolated by the sampler."""
+    here once and interpolated by the sampler; the JONSWAP disturbances
+    are numbered from 0 in list order, and each number keys its own
+    phases."""
     steps, winds, monos, irregular = [], [], [], []
     for spec in disturbances:
         if spec.kind == "step-beta":
@@ -337,7 +368,8 @@ def build_inputs(disturbances, dt: float, t_end: float):
         elif spec.kind == "mono-wave":
             monos.append((spec.period, spec.amplitude))
         elif spec.kind == "jonswap-wave":
-            w = jonswap_wave(spec.hs, spec.period, spec.gamma, spec.seed, dt, t_end)
+            w = jonswap_wave(spec.hs, spec.period, spec.gamma, spec.seed, dt,
+                             t_end, section=len(irregular), case=spec.case)
             irregular.append((dt * np.arange(len(w)), w))
 
     def u(tt: np.ndarray) -> np.ndarray:

@@ -146,6 +146,62 @@ def test_seed_flag_keeps_an_explicit_disturbance_seed(tmp_path):
     assert len(a) == len(b)
 
 
+SEA = """
+[simulation]
+dt = 0.05
+duration = 120
+
+[disturbance.sea]
+kind = jonswap-wave
+hs = 1.5
+period = 11
+"""
+
+# two speeds on one sensitivity set and one strategy: the two cases
+# differ only in their waves
+TWO_CASES = "\n[campaign]\nwind_speeds = 12, 16\nstrategies = none\n"
+
+
+def _case_statistics(path):
+    """The cells after the case's name, speed and strategy (gains, flags,
+    statistics and fatigue), one tuple per campaign.csv row."""
+    return [tuple(r[3:]) for r in _read_rows(path)[1:]]
+
+
+def test_sections_that_inherit_the_run_seed_draw_different_waves(tmp_path):
+    second = "\n[disturbance.swell]\nkind = jonswap-wave\nhs = 1.5\nperiod = 11\n"
+    one = _cfg(tmp_path, BASE + "[run]\nseed = 7\n" + SEA, "one.ini")
+    two = _cfg(tmp_path, BASE + "[run]\nseed = 7\n" + SEA + second, "two.ini")
+    assert [d.seed for d in load_run_config(two).disturbances] == [7, 7]
+    for cfg, out in ((one, "a"), (two, "b")):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    w_one, w_two = (TimeSeries.from_csv(tmp_path / d / "timeseries.csv").channels["w"]
+                    for d in "ab")
+    # the same phases in both sections would give twice the first wave
+    assert not np.allclose(w_two, 2.0 * w_one)
+
+
+def test_campaigns_of_neighbouring_seeds_share_no_case_wave(tmp_path):
+    cfg = _cfg(tmp_path, BASE + "[run]\nseed = 7\n" + SEA + TWO_CASES)
+    for seed in ("7", "8"):
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path / seed),
+                     "--seed", seed]) == 0
+    seven, eight = (_case_statistics(tmp_path / d / "campaign.csv") for d in "78")
+    assert len(set(seven + eight)) == 4
+
+
+def test_campaign_keeps_an_explicit_section_seed_in_every_case(tmp_path):
+    cfg = _cfg(tmp_path, BASE + "[run]\nseed = 7\n" + SEA + "seed = 3\n"
+               + TWO_CASES)
+    for seed in ("7", "9"):
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path / seed),
+                     "--seed", seed]) == 0
+    seven, nine = (_case_statistics(tmp_path / d / "campaign.csv") for d in "79")
+    # the run seed reaches no case's wave, and each case has its own
+    assert seven == nine
+    assert seven[0] != seven[1]
+
+
 def test_bode_outputs_three_sweeps(tmp_path):
     cfg = _cfg(tmp_path, BASE)
     assert main(["bode", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -729,8 +785,9 @@ def _run_python(script: str, env: dict | None = None):
 @pytest.mark.parametrize("block", [False, True], ids=["importable", "blocked"])
 def test_no_command_loads_scipy(tmp_path, block):
     """`import fowtctl.cli`, all six commands with method = exact, an rk4
-    simulation and free_decay leave scipy and numpy.polynomial unloaded;
-    with scipy made unimportable they all still run."""
+    simulation and free_decay leave scipy, numpy.polynomial and
+    numpy.random unloaded; with scipy made unimportable they all still
+    run.  The simulations and the campaign draw JONSWAP waves."""
     rk4 = _cfg(tmp_path, SIM, name="rk4.ini")
     exact = _cfg(tmp_path, SIM.replace("duration = 60",
                                        "duration = 60\nmethod = exact")
@@ -749,7 +806,7 @@ from fowtctl.sim import free_decay
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
                   and sys.modules[m] is not None
-                  or m.startswith("numpy.polynomial"))
+                  or m.startswith(("numpy.polynomial", "numpy.random")))
 
 assert not loaded(), ("import", loaded())
 assert main({["simulate", "--config", rk4, "--out", out]!r}) == 0

@@ -1,3 +1,4 @@
+import bisect
 import csv
 import io
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from fowtctl import sim
 from fowtctl.config import _data_dir, load_sensitivities
 from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
@@ -17,7 +19,7 @@ from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
                            close_loop)
 from fowtctl.sim import (_BLOCK, _POWER_LIMIT, _ROW_BLOCK, DisturbanceSpec,
                          TimeSeries, _expm, _jonswap_amplitudes, _powers, _recur,
-                         build_inputs, csv_cell, free_decay,
+                         _smooth_length, build_inputs, csv_cell, free_decay,
                          jonswap_spectrum, jonswap_wave, simulate, write_csv)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
@@ -190,14 +192,48 @@ def test_jonswap_spectrum_zeroth_moment():
     assert m0 == pytest.approx((1.5 / 4.0) ** 2, rel=1e-6)
 
 
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_smooth_length_is_the_least_5_smooth_length_at_or_above_n():
+    smooth = [m for m in range(1, 5_200) if _is_5_smooth(m)]
+    for n in range(1, 5_001):
+        assert _smooth_length(n) == smooth[bisect.bisect_left(smooth, n)], n
+    # 600 s, 1 h and 6 h at dt 0.05; 432 001 is prime
+    assert [_smooth_length(n) for n in (12_001, 72_001, 432_001)] == \
+        [12_150, 72_900, 437_400]
+
+
+def test_jonswap_wave_transforms_on_the_smooth_length(monkeypatch):
+    lengths = []
+
+    def recording_irfft(spec, n):
+        lengths.append(n)
+        return np.fft.irfft(spec, n=n)
+
+    monkeypatch.setattr(sim, "irfft", recording_irfft)
+    w = jonswap_wave(hs=1.5, tp=11.0, gamma=3.3, seed=1, dt=0.05, t_end=600.0)
+    assert lengths == [_smooth_length(12_001)] == [12_150]
+    assert w.shape == (12_001,)
+
+
 def test_jonswap_wave_deterministic_and_scaled():
     _jonswap_amplitudes.cache_clear()  # a forms the amplitudes, b reads them
     a = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=3, dt=0.1, t_end=600.0)
     b = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=3, dt=0.1, t_end=600.0)
-    assert a.shape == (6001,)  # one sample per dt, both ends included
+    # one sample per dt, both ends included, though synthesized on 6075
+    assert a.shape == (6001,) and _smooth_length(6001) == 6075
     np.testing.assert_array_equal(a, b)
     c = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=4, dt=0.1, t_end=600.0)
     assert not np.array_equal(a, c)
+    for key in (dict(section=1), dict(case=1)):
+        d = jonswap_wave(hs=1.5, tp=11.0, gamma=2.0, seed=3, dt=0.1,
+                         t_end=600.0, **key)
+        assert not np.array_equal(a, d)
     # standard deviation approximates hs/4
     assert np.std(a) == pytest.approx(1.5 / 4.0, rel=0.15)
 
@@ -209,7 +245,8 @@ def test_jonswap_seeds_share_one_read_only_amplitude_array():
     assert not np.array_equal(a, b)
     info = _jonswap_amplitudes.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    amp = _jonswap_amplitudes(2401, 0.05, 1.5, 11.0, 3.3)  # the shared array
+    # the shared array, on the synthesis length of the 2401 samples
+    amp = _jonswap_amplitudes(_smooth_length(2401), 0.05, 1.5, 11.0, 3.3)
     assert _jonswap_amplitudes.cache_info().hits == 2
     assert not amp.flags.writeable
     with pytest.raises(ValueError):
