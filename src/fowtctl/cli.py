@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,15 +66,13 @@ def cmd_tune(cfg: RunConfig, out: Path) -> int:
     plt = platform_summary(cfg.params, cfg.sens, gains.kbeta)
     lines = _header(cfg) + [
         f"strategy={cfg.strategy}"
-        + (f" zeta_plt={cfg.zeta_plt}" if cfg.zeta_plt is not None else ""),
+        + (f" zeta_plt={cfg.zeta_plt}" if cfg.strategy == "zeta-fixed" else ""),
         f"rotor: nu={rot.nu!r} rad/s zeta={rot.zeta!r} degenerate={rot.degenerate}",
         f"platform: nu={plt.nu!r} rad/s zeta={plt.zeta!r}",
     ]
     export_gains(gains, out / "gains.ini", header_lines=lines)
-    print(f"kp = {gains.kp!r}")
-    print(f"ki = {gains.ki!r}")
-    print(f"kbeta = {gains.kbeta!r}")
-    print(f"ktaug = {gains.ktaug!r}")
+    for f in fields(ControlGains):
+        print(f"{f.name} = {getattr(gains, f.name)!r}")
     print(f"rotor nu={rot.nu:.6g} rad/s zeta={rot.zeta:.6g}"
           + (" (degenerate)" if rot.degenerate else ""))
     print(f"platform nu={plt.nu:.6g} rad/s zeta={plt.zeta:.6g}")
@@ -291,31 +290,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_run_config(args.config, search_dir=args.params_dir,
-                              seed=args.seed)
-        out = _out_dir(cfg, args.out)
-        if args.command == "tune":
-            return cmd_tune(cfg, out)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out)
-        if args.command == "bode":
-            return cmd_bode(cfg, out)
-        if args.command == "fatigue":
-            return cmd_fatigue(cfg, out, args.series, channel=args.channel)
-        if args.command == "campaign":
-            return cmd_campaign(cfg, out)
-        raise FowtctlError(f"unknown command {args.command!r}")
-    except FowtctlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # e.g. a step count no machine can hold, which numpy refuses at once
-        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
-              file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        shown = warnings.showwarning
+
+        def show(message, category, *rest):
+            # a note to the user is one line; any other category goes on
+            # to the handler this replaced, which may be recording it
+            if issubclass(category, UserWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                shown(message, category, *rest)
+
+        warnings.showwarning = show
+        try:
+            cfg = load_run_config(args.config, search_dir=args.params_dir,
+                                  seed=args.seed)
+            out = _out_dir(cfg, args.out)
+            if args.command == "tune":
+                return cmd_tune(cfg, out)
+            if args.command == "analyze":
+                return cmd_analyze(cfg, out)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, out)
+            if args.command == "bode":
+                return cmd_bode(cfg, out)
+            if args.command == "fatigue":
+                return cmd_fatigue(cfg, out, args.series, channel=args.channel)
+            if args.command == "campaign":
+                return cmd_campaign(cfg, out)
+            raise FowtctlError(f"unknown command {args.command!r}")
+        except FowtctlError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            # e.g. a step count no machine can hold, which numpy refuses at once
+            print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+                  file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Run-configuration ingestion and parameter-set resolution.
 
-Configs are INI-style key = value files.  A [structure] or
-[sensitivities] section either carries its values inline or references a
-named parameter set through `use = <name>`; named sets resolve against a
-user-supplied directory first, then the packaged data files.  Sensitivity
-sets may declare `units = kN` and are converted to strict SI on load, so
-the stored fixtures can mirror published kN-based tables verbatim.
+Configs are INI-style key = value files holding only the sections and
+keys _TABLE lists.  A [structure] or [sensitivities] section either
+carries its values inline or references a named parameter set through
+`use = <name>`; named sets resolve against a user-supplied directory
+first, then the packaged data files.  Sensitivity sets may declare
+`units = kN` and are converted to strict SI on load, so the stored
+fixtures can mirror published kN-based tables verbatim.
 """
 
 from __future__ import annotations
@@ -13,17 +14,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import AeroSensitivities, ControlGains, StructuralParams
 from .sim import DisturbanceSpec, write_header
-
-_STRUCT_KEYS = ("ng", "jr", "jt", "dt", "kt", "ht")
-_SENS_KEYS = ("dta_domega", "dta_dv", "dta_dbeta",
-              "dfa_domega", "dfa_dv", "dfa_dbeta", "dtw_dw")
 
 
 def _data_dir() -> Path:
@@ -49,6 +46,10 @@ def _parse_ini(text: str, path) -> configparser.ConfigParser:
         cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if cp.defaults():
+        keys = ", ".join(map(repr, cp.defaults()))
+        raise ConfigError(f"[DEFAULT] of {path} holds {keys}, which it would "
+                          "set in every section")
     return cp
 
 
@@ -68,63 +69,18 @@ def _number(text: str, key: str, where: str, conv=float):
         raise ConfigError(f"bad value for {key!r} in {where}: {text!r}") from exc
 
 
-def _get(sec, key: str, default, conv=float):
-    """sec[key] converted by conv, or default when the key is absent."""
-    if key not in sec:
-        return default
-    return _number(sec[key], key, f"[{sec.name}]", conv)
-
-
 def _require(ok: bool, key: str, where: str, value, what: str) -> None:
     """A ConfigError naming the key unless ok."""
     if not ok:
         raise ConfigError(f"{key!r} in {where} must be {what} (got {value!r})")
 
 
-def _section_floats(sec, keys, where: str) -> dict[str, float]:
-    out = {}
-    for key in keys:
-        if key not in sec:
-            raise ConfigError(f"missing key {key!r} in {where}")
-        out[key] = _number(sec[key], key, where)
-    return out
-
-
-def _set_section(kind: str, name_or_sec, search_dir):
-    """The [kind] section of a named parameter set, or the inline config
-    section itself (which may name a set with `use = <name>`).
-    Returns (section, set_name)."""
-    if not isinstance(name_or_sec, str):
-        if "use" not in name_or_sec:
-            return name_or_sec, "<inline>"
-        name_or_sec = name_or_sec["use"]
-    path = _resolve(kind, name_or_sec, search_dir)
-    cp = _read_ini(path)
-    if kind not in cp:
-        raise ConfigError(f"parameter set {path} has no [{kind}] section")
-    return cp[kind], name_or_sec
-
-
-def load_structure(name_or_sec, search_dir=None) -> tuple[StructuralParams, str]:
-    """Structural parameters from a set name or a parsed config section.
-    Returns (params, set_name)."""
-    sec, name = _set_section("structure", name_or_sec, search_dir)
-    vals = _section_floats(sec, _STRUCT_KEYS, f"structure set {name}")
-    return StructuralParams(**vals), name
-
-
-def load_sensitivities(name_or_sec, search_dir=None) -> tuple[AeroSensitivities, str]:
-    """Aerodynamic sensitivities of an above-rated operating point from a
-    set name or parsed section, converted to SI if the set declares kN
-    units."""
-    sec, name = _set_section("sensitivities", name_or_sec, search_dir)
-    vals = _section_floats(sec, _SENS_KEYS, f"sensitivity set {name}")
-    units = sec.get("units", "si").strip().lower()
-    if units == "kn":
-        vals = {k: v * 1e3 for k, v in vals.items()}
-    elif units != "si":
-        raise ConfigError(f"unknown units {units!r} in sensitivity set {name}")
-    return AeroSensitivities(**vals).validate_above_rated(), name
+def _unknown(what: str, name: str, known, where: str = "") -> ConfigError:
+    """A ConfigError refusing name, with the closest of known as a hint."""
+    import difflib  # only a refused config pays for this import
+    close = difflib.get_close_matches(name, known, n=1)
+    hint = f" (did you mean {close[0]}?)" if close else ""
+    return ConfigError(f"unknown {what} {name}{where}{hint}")
 
 
 @dataclass
@@ -170,24 +126,143 @@ class RunConfig:
 
 
 def _parse_strategy(text: str) -> tuple[str, float | None]:
-    """One [campaign] strategies entry: none, reference or zeta-fixed:<zeta>."""
-    text = text.strip()
-    kind, colon, arg = text.partition(":")
-    kind = kind.strip()
-    if kind == "zeta-fixed" and arg.strip():
-        zeta = _number(arg, "strategies", "[campaign]")
-        _require(0.0 < zeta < math.inf, "strategies", "[campaign]", text,
-                 "zeta-fixed:<zeta> with zeta finite and > 0")
-        return kind, zeta
-    _require(kind in ("reference", "none") and not colon, "strategies",
-             "[campaign]", text, "none, reference or zeta-fixed:<zeta>")
-    return kind, None
+    """One [campaign] strategies entry: kind, or kind:<zeta>."""
+    kind, colon, zeta = text.partition(":")
+    return kind.strip(), float(zeta) if colon else None
+
+
+def _valid_strategy(kind: str, zeta: float | None) -> bool:
+    if kind == "zeta-fixed":
+        return zeta is not None and 0.0 < zeta < math.inf
+    return kind in ("reference", "none") and zeta is None
 
 
 def strategy_label(strategy: tuple[str, float | None]) -> str:
     """A campaign strategy as campaign.csv prints it: kind, or kind:%g."""
     kind, zeta = strategy
     return kind if zeta is None else f"{kind}:{zeta:g}"
+
+
+def _items(conv):
+    """A conversion of a comma-separated list, item by item."""
+    return lambda text: [conv(s) for s in text.split(",") if s.strip()]
+
+
+def _one_of(*names):
+    """A table check that the value is one of names."""
+    return (lambda v: v in names, ", ".join(names[:-1]) + " or " + names[-1])
+
+
+def _keys(names, conv=float, check=None):
+    """Table rows for keys that set the field of their own name."""
+    return {name: (name, conv, check) for name in names}
+
+
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_USE = {"use": ("use", str, None)}
+
+# section -> key -> (field the value sets, conversion of the text, check of
+# the value as (predicate, what the value must be) or None).  The fields
+# are those of StructuralParams, AeroSensitivities, RunConfig, ControlGains,
+# DisturbanceSpec and FatigueSettings; each default lives there.
+_TABLE = {
+    "structure": {**_USE, **_keys(f.name for f in fields(StructuralParams))},
+    "sensitivities": {**_USE, "units": ("units", str.lower, _one_of("si", "kn")),
+                      **_keys(f.name for f in fields(AeroSensitivities))},
+    "run": {"seed": ("seed", int, None), "out": ("out_dir", str, None)},
+    "rotor": {"zeta": ("zeta_rot", float, None), "nu": ("nu_rot", float, None)},
+    "strategy": {"kind": ("strategy", str, _one_of("zeta-fixed", "reference", "none")),
+                 "zeta": ("zeta_plt", float, None), "m_taug": ("m_taug", float, None)},
+    "gains": _keys(f.name for f in fields(ControlGains)),
+    "simulation": {**_keys(("dt", "duration"), check=_POSITIVE),
+                   "method": ("method", str, _one_of("rk4", "exact")),
+                   "transient": ("transient", float, _NONNEGATIVE)},
+    "fatigue": {"curve": ("curve_kind", str, _one_of("single", "bilinear")),
+                **_keys(("m1", "m2", "knee", "stress_knee", "section_modulus",
+                         "n_ref"), check=_POSITIVE),
+                "lifetime_scale": ("lifetime_scale", float, _NONNEGATIVE),
+                "hysteresis_frac": ("hysteresis_frac", float,
+                                    (lambda v: 0.0 <= v < 1.0, "in [0, 1)"))},
+    "campaign": {"wind_speeds": ("campaign_speeds", _items(float),
+                                 (lambda v: all(0.0 < s < math.inf for s in v),
+                                  "finite and > 0")),
+                 "strategies": ("campaign_strategies", _items(_parse_strategy),
+                                (lambda v: all(_valid_strategy(*s) for s in v),
+                                 "none, reference or zeta-fixed:<zeta> with zeta "
+                                 "finite and > 0")),
+                 # a field of None: load_run_config reads the key itself
+                 "sens.<speed>": (None, str, None)},
+    "disturbance.<name>": {**_keys(("kind", "path"), str), "seed": ("seed", int, None),
+                           **_keys(("amplitude", "period", "onset", "hs", "gamma"),
+                                   check=_FINITE)},
+}
+
+
+def _read(sec, where: str | None = None) -> dict:
+    """{field: value} of a config section, converted and checked by its
+    _TABLE rows; a section or key the table does not list is refused."""
+    base, _, name = sec.name.partition(".")
+    table = _TABLE.get("disturbance.<name>" if base == "disturbance" and name
+                       else sec.name)
+    if table is None:
+        raise _unknown("section", f"[{sec.name}]", [f"[{s}]" for s in _TABLE])
+    where = where or f"[{sec.name}]"
+    out = {}
+    for key, text in sec.items():
+        row = table.get("sens.<speed>" if key.startswith("sens.") else key)
+        if row is None:
+            raise _unknown("key", repr(key), [repr(k) for k in table], f" in {where}")
+        target, conv, check = row
+        if target is not None:
+            out[target] = _number(text, key, where, conv)
+            if check is not None:
+                _require(check[0](out[target]), key, where, text, check[1])
+    return out
+
+
+def _set_values(kind: str, name_or_sec, search_dir) -> tuple[dict, str]:
+    """The values of a [kind] parameter set, given by name or as a config
+    section, which may instead name a set with `use = <name>` and then
+    hold no other key.  Returns (values, set_name)."""
+    vals = {"use": name_or_sec} if isinstance(name_or_sec, str) else _read(name_or_sec)
+    name, where = "<inline>", f"[{kind}]"
+    if "use" in vals:
+        extra = [key for key in vals if key != "use"]
+        if extra:
+            raise ConfigError(f"{extra[0]!r} in {where} beside 'use': a section "
+                              "that names a parameter set holds no other key")
+        name = vals.pop("use")
+        path = _resolve(kind, name, search_dir)
+        cp = _read_ini(path)
+        if kind not in cp:
+            raise ConfigError(f"parameter set {path} has no [{kind}] section")
+        where = f"[{kind}] of {path}"
+        vals = _read(cp[kind], where)
+        if "use" in vals:
+            raise ConfigError(f"'use' in {where}: a parameter set names no other set")
+    missing = [k for k in _TABLE[kind] if k not in vals and k not in ("use", "units")]
+    if missing:
+        raise ConfigError(f"missing key {missing[0]!r} in {where}")
+    return vals, name
+
+
+def load_structure(name_or_sec, search_dir=None) -> tuple[StructuralParams, str]:
+    """Structural parameters from a set name or a parsed config section.
+    Returns (params, set_name)."""
+    vals, name = _set_values("structure", name_or_sec, search_dir)
+    return StructuralParams(**vals), name
+
+
+def load_sensitivities(name_or_sec, search_dir=None) -> tuple[AeroSensitivities, str]:
+    """Aerodynamic sensitivities of an above-rated operating point from a
+    set name or parsed section, converted to SI if the set declares kN
+    units."""
+    vals, name = _set_values("sensitivities", name_or_sec, search_dir)
+    if vals.pop("units", None) == "kn":
+        vals = {k: v * 1e3 for k, v in vals.items()}
+    return AeroSensitivities(**vals).validate_above_rated(), name
 
 
 def load_run_config(path, search_dir=None, seed=None) -> RunConfig:
@@ -201,139 +276,55 @@ def load_run_config(path, search_dir=None, seed=None) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cp = _parse_ini(text, path)
-
-    if "structure" not in cp:
-        raise ConfigError("config needs a [structure] section")
-    if "sensitivities" not in cp:
-        raise ConfigError("config needs a [sensitivities] section")
+    for name in ("structure", "sensitivities"):
+        if name not in cp:
+            raise ConfigError(f"config needs a [{name}] section")
+    vals = {name: _read(cp[name]) for name in cp.sections()
+            if name not in ("structure", "sensitivities")}
     params, params_name = load_structure(cp["structure"], search_dir)
     sens, sens_name = load_sensitivities(cp["sensitivities"], search_dir)
 
-    cfg = RunConfig(params=params, sens=sens,
-                    params_name=params_name, sens_name=sens_name,
-                    search_dir=search_dir)
-    cfg.config_hash = hashlib.sha256(raw).hexdigest()[:12]
-
-    if "run" in cp:
-        run = cp["run"]
-        if "seed" in run:
-            cfg.seed = _get(run, "seed", None, int)
-        cfg.out_dir = run.get("out", cfg.out_dir)
+    kwargs = {}
+    for name in ("run", "rotor", "strategy", "simulation", "campaign"):
+        kwargs.update(vals.get(name, {}))
     if seed is not None:
-        cfg.seed = seed
+        kwargs["seed"] = seed
+    cfg = RunConfig(params=params, sens=sens, params_name=params_name,
+                    sens_name=sens_name, search_dir=search_dir,
+                    config_hash=hashlib.sha256(raw).hexdigest()[:12],
+                    fatigue=FatigueSettings(**vals.get("fatigue", {})), **kwargs)
+    if "gains" in vals:
+        cfg.gains_override = ControlGains(**vals["gains"])
 
-    if "rotor" in cp:
-        cfg.zeta_rot = _get(cp["rotor"], "zeta", cfg.zeta_rot)
-        cfg.nu_rot = _get(cp["rotor"], "nu", cfg.nu_rot)
-
-    if "strategy" in cp:
-        sec = cp["strategy"]
-        kind = sec.get("kind", "none").strip()
-        if kind == "zeta-fixed":
-            if "zeta" not in sec:
-                raise ConfigError("zeta-fixed strategy requires zeta")
-            cfg.zeta_plt = _get(sec, "zeta", None)
-        elif kind not in ("reference", "none"):
-            raise ConfigError(f"unknown strategy kind {kind!r}")
-        cfg.strategy = kind
-        cfg.m_taug = _get(sec, "m_taug", 0.0)
-
-    if "gains" in cp:
-        g = cp["gains"]
-        cfg.gains_override = ControlGains(
-            kp=_get(g, "kp", 0.0), ki=_get(g, "ki", 0.0),
-            kbeta=_get(g, "kbeta", 0.0), ktaug=_get(g, "ktaug", 0.0))
-
-    if "simulation" in cp:
-        sec = cp["simulation"]
-        cfg.dt = _get(sec, "dt", cfg.dt)
-        cfg.duration = _get(sec, "duration", cfg.duration)
-        cfg.method = sec.get("method", cfg.method)
-        cfg.transient = _get(sec, "transient", cfg.transient)
-        for key in ("dt", "duration"):
-            value = getattr(cfg, key)
-            _require(0.0 < value < math.inf, key, "[simulation]", value,
-                     "finite and > 0")
-        _require(0.0 <= cfg.transient < math.inf, "transient", "[simulation]",
-                 cfg.transient, "finite and >= 0")
-        _require(cfg.method in ("rk4", "exact"), "method", "[simulation]",
-                 cfg.method, "rk4 or exact")
-
-    stochastic = False
-    for name in sorted(s for s in cp.sections() if s.startswith("disturbance")):
-        sec = cp[name]
-        kind = sec.get("kind", "").strip()
-        seed = _get(sec, "seed", None, int)
-        if kind == "jonswap-wave":
-            stochastic = True
-            if seed is None:
-                seed = cfg.seed
-            if seed is None:
-                raise ConfigError("stochastic disturbance needs a seed "
-                                  "([run] seed or per-disturbance)")
-        values = {key: _get(sec, key, default) for key, default in
-                  (("amplitude", 0.0), ("period", 0.0), ("onset", 0.0),
-                   ("hs", 0.0), ("gamma", 1.0))}
-        for key, value in values.items():
-            _require(math.isfinite(value), key, f"[{name}]", value, "finite")
-        cfg.disturbances.append(DisturbanceSpec(
-            kind=kind, seed=seed, path=sec.get("path", None), **values))
-    if stochastic and cfg.seed is None:
-        raise ConfigError("[run] seed is mandatory with stochastic disturbances")
-
-    if "fatigue" in cp:
-        sec = cp["fatigue"]
-        fs = cfg.fatigue
-        fs.curve_kind = sec.get("curve", fs.curve_kind)
-        _require(fs.curve_kind in ("single", "bilinear"), "curve", "[fatigue]",
-                 fs.curve_kind, "single or bilinear")
-        fs.m1 = _get(sec, "m1", fs.m1)
-        fs.m2 = _get(sec, "m2", fs.m2)
-        fs.knee = _get(sec, "knee", fs.knee)
-        fs.stress_knee = _get(sec, "stress_knee", fs.stress_knee)
-        fs.section_modulus = _get(sec, "section_modulus", fs.section_modulus)
-        fs.n_ref = _get(sec, "n_ref", fs.n_ref)
-        fs.lifetime_scale = _get(sec, "lifetime_scale", fs.lifetime_scale)
-        fs.hysteresis_frac = _get(sec, "hysteresis_frac", fs.hysteresis_frac)
-        for key in ("m1", "m2", "knee", "stress_knee", "section_modulus", "n_ref"):
-            value = getattr(fs, key)
-            _require(0.0 < value < math.inf, key, "[fatigue]", value,
-                     "finite and > 0")
-        _require(0.0 <= fs.lifetime_scale < math.inf, "lifetime_scale",
-                 "[fatigue]", fs.lifetime_scale, "finite and >= 0")
-        _require(0.0 <= fs.hysteresis_frac < 1.0, "hysteresis_frac",
-                 "[fatigue]", fs.hysteresis_frac, "in [0, 1)")
-
-    if "campaign" in cp:
-        sec = cp["campaign"]
-        if "wind_speeds" in sec:
-            cfg.campaign_speeds = [_number(s, "wind_speeds", "[campaign]")
-                                   for s in sec["wind_speeds"].split(",") if s.strip()]
-            for speed in cfg.campaign_speeds:
-                _require(0.0 < speed < math.inf, "wind_speeds", "[campaign]",
-                         speed, "finite and > 0")
-            # the printed speed names the case, so it must be unique too
-            labels = [f"{speed:g}" for speed in cfg.campaign_speeds]
-            _require(len(set(labels)) == len(labels), "wind_speeds",
-                     "[campaign]", sec["wind_speeds"], "unique")
-        if "strategies" in sec:
-            cfg.campaign_strategies = [_parse_strategy(s)
-                                       for s in sec["strategies"].split(",") if s.strip()]
-            # the printed label names the case, so it must be unique too
-            labels = [strategy_label(s) for s in cfg.campaign_strategies]
-            _require(len(set(labels)) == len(labels), "strategies",
-                     "[campaign]", sec["strategies"], "unique")
-        for key, value in sec.items():
-            if key.startswith("sens."):
-                speed = _number(key.split(".", 1)[1], key, "[campaign]")
-                # a set for a speed the grid does not run, or a second set
-                # for one speed, would be ignored or override silently
-                _require(speed in cfg.campaign_speeds, key, "[campaign]",
-                         speed, "a speed listed in wind_speeds")
-                _require(speed not in cfg.campaign_sens, key, "[campaign]",
-                         speed, "a speed no other sens. key names")
-                cfg.campaign_sens[speed] = value.strip()
-
+    # the rules that span keys or sections
+    if cfg.strategy == "zeta-fixed" and cfg.zeta_plt is None:
+        raise ConfigError("zeta-fixed strategy requires zeta")
+    for name in sorted(s for s in vals if s.startswith("disturbance.")):
+        spec = vals[name]
+        if "kind" not in spec:
+            raise ConfigError(f"missing key 'kind' in [{name}]")
+        if spec["kind"] == "jonswap-wave":
+            if cfg.seed is None:
+                raise ConfigError(f"[{name}] is stochastic: [run] seed is mandatory")
+            spec.setdefault("seed", cfg.seed)
+        cfg.disturbances.append(DisturbanceSpec(**spec))
+    # the printed speed and strategy label name the case, so they must be
+    # unique too
+    for key, labels in (("wind_speeds", [f"{s:g}" for s in cfg.campaign_speeds]),
+                        ("strategies", [strategy_label(s)
+                                        for s in cfg.campaign_strategies])):
+        _require(len(set(labels)) == len(labels), key, "[campaign]",
+                 ", ".join(labels), "unique as printed")
+    for key, value in (cp["campaign"].items() if "campaign" in cp else ()):
+        if key.startswith("sens."):
+            speed = _number(key.split(".", 1)[1], key, "[campaign]")
+            # a set for a speed the grid does not run, or a second set
+            # for one speed, would be ignored or override silently
+            _require(speed in cfg.campaign_speeds, key, "[campaign]",
+                     speed, "a speed listed in wind_speeds")
+            _require(speed not in cfg.campaign_sens, key, "[campaign]",
+                     speed, "a speed no other sens. key names")
+            cfg.campaign_sens[speed] = value
     return cfg
 
 
@@ -342,7 +333,5 @@ def export_gains(gains: ControlGains, path, header_lines=None):
     with open(path, "w") as fh:
         write_header(fh, header_lines or [])
         fh.write("[gains]\n")
-        fh.write(f"kp = {gains.kp!r}\n")
-        fh.write(f"ki = {gains.ki!r}\n")
-        fh.write(f"kbeta = {gains.kbeta!r}\n")
-        fh.write(f"ktaug = {gains.ktaug!r}\n")
+        for f in fields(ControlGains):
+            fh.write(f"{f.name} = {getattr(gains, f.name)!r}\n")

@@ -75,6 +75,14 @@ def test_tune_writes_importable_gains(tmp_path, capsys):
     assert "zeta=0.6" in out or "zeta=0.600000" in out
 
 
+def test_tune_header_names_zeta_plt_only_for_zeta_fixed(tmp_path):
+    for kind, want in (("zeta-fixed", "strategy=zeta-fixed zeta_plt=0.1\n"),
+                       ("reference", "strategy=reference\n")):
+        cfg = _cfg(tmp_path, BASE.replace("kind = zeta-fixed", f"kind = {kind}"))
+        assert main(["tune", "--config", cfg, "--out", str(tmp_path / kind)]) == 0
+        assert f"# {want}" in (tmp_path / kind / "gains.ini").read_text()
+
+
 def test_analyze_reports_conditions(tmp_path, capsys):
     # table1-false: neither NMPZ condition holds; table3-both: both hold
     for sens, expected in (("table1-false", "false"), ("table3-both", "true")):
@@ -390,11 +398,32 @@ duration = 5
                  "path = {missing}\n", [], id="missing-wind-file"),
     pytest.param(MINIMAL.replace("umaine-iea15", "broken"),
                  ["--params-dir", "{params}"], id="duplicate-option-in-set"),
+    # names no table lists: each of these used to run and exit 0
+    pytest.param(MINIMAL + "\n[simulaton]\nduration = 5\n", [],
+                 id="misspelled-section"),
+    pytest.param(MINIMAL + "\n[simulation]\ndurration = 50\n", [],
+                 id="misspelled-key"),
+    pytest.param(_SIM_SHORT + "\n[disturbance.d]\nkind = step-wind\n"
+                 "amplitud = 1\n", [], id="misspelled-disturbance-key"),
+    pytest.param("[DEFAULT]\ndt = 0.1\n" + _SIM_SHORT, [], id="default-section"),
+    pytest.param(MINIMAL.replace("use = umaine-iea15",
+                                 "use = umaine-iea15\nkt = 2e10"), [],
+                 id="use-beside-a-value"),
+    pytest.param(MINIMAL.replace(
+        "[sensitivities]\nuse = table1-false\n",
+        (_data_dir() / "sensitivities" / "table1-false.ini").read_text()
+        .replace("units = kN", "unit = kN")), [], id="inline-unit"),
+    pytest.param(MINIMAL.replace("umaine-iea15", "typo"),
+                 ["--params-dir", "{params}"], id="misspelled-key-in-set"),
+    pytest.param(_SIM_SHORT + "\n[disturbancex]\nkind = step-wind\n"
+                 "amplitude = 1\n", [], id="disturbance-without-dot"),
 ])
 def test_malformed_input_ends_as_error(tmp_path, capsys, text, extra):
     broken = tmp_path / "params" / "structure" / "broken.ini"
     broken.parent.mkdir(parents=True)
     broken.write_text("[structure]\nng = 1\nng = 2\n")
+    (broken.parent / "typo.ini").write_text(
+        (_data_dir() / "structure" / "umaine-iea15.ini").read_text() + "htt = 3\n")
     fill = {"missing": tmp_path / "no-such-wind.csv", "params": tmp_path / "params"}
     cfg = (str(tmp_path / "no-such.ini") if text is None
            else _cfg(tmp_path, text.format(**fill)))
@@ -780,6 +809,24 @@ def _run_python(script: str, env: dict | None = None):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_a_warning_is_one_line_on_stderr(tmp_path):
+    # 60 s is short of ten JONSWAP peak periods of 11 s
+    argv = ["simulate", "--config", _cfg(tmp_path, SIM), "--out", str(tmp_path / "o")]
+    proc = _run_python(f"from fowtctl.cli import main\nassert main({argv!r}) == 0\n")
+    assert proc.stderr == ("warning: duration 60.0 s short for spectral "
+                           "resolution (< 10*Tp = 110.0 s)\n")
+
+
+def test_a_valid_config_loads_without_difflib(tmp_path):
+    _run_python(f"""
+import sys
+from fowtctl.cli import load_run_config
+load_run_config({_cfg(tmp_path, SIM)!r})
+assert "difflib" not in sys.modules
+""")
 
 
 @pytest.mark.parametrize("block", [False, True], ids=["importable", "blocked"])
@@ -863,8 +910,11 @@ def test_overflowing_loop_ends_as_an_error_naming_the_overflow(tmp_path, capsys)
         rc = _main_without_runtime_warnings(
             [command, "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
-        assert rc == 2 and err.startswith("error: ") and "overflow" in err, \
+        *notes, last = err.splitlines()
+        # the campaign's 60 s JONSWAP sea may first print its one-line note
+        assert rc == 2 and last.startswith("error: ") and "overflow" in last, \
             (command, err)
+        assert all(line.startswith("warning: ") for line in notes), (command, err)
         assert "pole on grid" not in err
 
 

@@ -1,6 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from fowtctl.config import (export_gains, load_run_config,
+from fowtctl.config import (_TABLE, export_gains, load_run_config,
                             load_sensitivities, load_structure)
 from fowtctl.errors import ConfigError
 from fowtctl.model import ControlGains
@@ -209,3 +212,27 @@ n_ref = 1200
     assert fs.m2 == 6.0
     assert fs.knee == 2e6
     assert fs.n_ref == 1200.0
+
+
+def test_misspelled_key_names_the_closest_key(tmp_path):
+    with pytest.raises(ConfigError, match=r"^unknown key 'durration' in "
+                       r"\[simulation\] \(did you mean 'duration'\?\)$"):
+        load_run_config(_write(tmp_path, BASE + "[simulation]\ndurration = 50\n"))
+
+
+def test_readme_config_block_lists_every_key_the_table_accepts(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config format\n\n```ini\n", 1)[1].split("```", 1)[0]
+    load_run_config(_write(tmp_path, block))
+    names, section = set(), None
+    for line in block.splitlines():
+        line = line.lstrip("# ")
+        head = re.match(r"\[(\w+)(\.\w+)?\]", line)
+        if head:
+            section = head[1] + (".<name>" if head[2] else "")
+            names.add((section, None))
+        elif re.match(r"[a-z_][a-z0-9_]*(\.\d+)?\s*=", line):
+            key = line.split("=", 1)[0].strip()
+            names.add((section, "sens.<speed>" if key.startswith("sens.") else key))
+    assert names == {(section, key) for section, keys in _TABLE.items()
+                     for key in (None, *keys)}
