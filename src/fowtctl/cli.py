@@ -25,9 +25,9 @@ from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
                       rainflow)
 from .freq import bode_gplt, bode_grot, damped_band, default_grid
 from .gains import RotorTarget, synthesize
-from .model import (AeroSensitivities, ControlGains, StateSpace,
-                    build_open_loop, close_loop)
-from .sim import _UNITS, TimeSeries, csv_cell, simulate, write_csv, write_header
+from .model import (CHANNELS, AeroSensitivities, ControlGains, build_open_loop,
+                    close_loop)
+from .sim import TimeSeries, csv_cell, simulate, write_csv, write_header
 from .stability import (modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
                         rotor_summary)
@@ -117,17 +117,9 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_simulation(cfg: RunConfig,
-                    gains: ControlGains) -> tuple[StateSpace, TimeSeries]:
-    """The closed loop under gains, and its simulation."""
-    ss = close_loop(build_open_loop(cfg.params, cfg.sens), gains)
-    return ss, simulate(ss, gains, cfg.params, cfg.sens, cfg.disturbances,
-                        dt=cfg.dt, t_end=cfg.duration, method=cfg.method)
-
-
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    gains = _resolve_gains(cfg)
-    _, ts = _run_simulation(cfg, gains)
+    ts = simulate(cfg.params, cfg.sens, _resolve_gains(cfg), cfg.disturbances,
+                  dt=cfg.dt, t_end=cfg.duration, method=cfg.method)
     path = out / "timeseries.csv"
     header = _header(cfg)
     if "diverged_at" in ts.meta:
@@ -205,7 +197,10 @@ def _campaign_case(cfg: RunConfig, index: int, speed: float,
     case = replace(cfg, sens=sens, strategy=kind, zeta_plt=zeta,
                    gains_override=None, disturbances=disturbances)
     gains = _resolve_gains(case)
-    ss, ts = _run_simulation(case, gains)
+    ts = simulate(cfg.params, sens, gains, disturbances, dt=cfg.dt,
+                  t_end=cfg.duration, method=cfg.method)
+    stable = modal_report(close_loop(build_open_loop(cfg.params, sens),
+                                     gains).closed).stable
     diverged = "diverged_at" in ts.meta
     t_skip = cfg.transient if cfg.transient < cfg.duration else 0.0
     post = ts.window(t_skip) if not diverged else ts
@@ -219,7 +214,7 @@ def _campaign_case(cfg: RunConfig, index: int, speed: float,
     label = strategy_label(strategy)
     return (f"ws{speed:g}_{label}", speed, label,
             gains.kp, gains.ki, gains.kbeta, gains.ktaug,
-            str(modal_report(ss.closed).stable).lower(), str(diverged).lower(),
+            str(stable).lower(), str(diverged).lower(),
             *stats, del_tower, damage)
 
 
@@ -242,7 +237,7 @@ def cmd_campaign(cfg: RunConfig, out: Path) -> int:
             "kp [s]", "ki [-]", "kbeta [rad*s/rad]", "ktaug [N*m*s/rad]",
             "stable", "diverged"]
     for name in STAT_CHANNELS:
-        head += [f"{name}_{s} [{_UNITS[name]}]" for s in ("min", "mean", "max", "std")]
+        head += [f"{name}_{s} [{CHANNELS[name]}]" for s in ("min", "mean", "max", "std")]
     head += ["del_tower [N*m]", "damage_tower [-]"]
     fmt = ("%s,%g,%s" + ",%.12g" * 4 + ",%s,%s"
            + ",%.12g" * (4 * len(STAT_CHANNELS) + 2))
@@ -306,19 +301,11 @@ def main(argv=None) -> int:
             cfg = load_run_config(args.config, search_dir=args.params_dir,
                                   seed=args.seed)
             out = _out_dir(cfg, args.out)
-            if args.command == "tune":
-                return cmd_tune(cfg, out)
-            if args.command == "analyze":
-                return cmd_analyze(cfg, out)
-            if args.command == "simulate":
-                return cmd_simulate(cfg, out)
-            if args.command == "bode":
-                return cmd_bode(cfg, out)
             if args.command == "fatigue":
                 return cmd_fatigue(cfg, out, args.series, channel=args.channel)
-            if args.command == "campaign":
-                return cmd_campaign(cfg, out)
-            raise FowtctlError(f"unknown command {args.command!r}")
+            # argparse admits only the commands the parser lists
+            return {"tune": cmd_tune, "analyze": cmd_analyze, "simulate": cmd_simulate,
+                    "bode": cmd_bode, "campaign": cmd_campaign}[args.command](cfg, out)
         except FowtctlError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

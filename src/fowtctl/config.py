@@ -238,6 +238,10 @@ def _set_values(kind: str, name_or_sec, search_dir) -> tuple[dict, str]:
         cp = _read_ini(path)
         if kind not in cp:
             raise ConfigError(f"parameter set {path} has no [{kind}] section")
+        sets = ["[structure]", "[sensitivities]"]
+        for sec in cp.sections():
+            if f"[{sec}]" not in sets:
+                raise _unknown("section", f"[{sec}]", sets, f" in {path}")
         where = f"[{kind}] of {path}"
         vals = _read(cp[kind], where)
         if "use" in vals:

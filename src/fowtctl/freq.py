@@ -78,11 +78,11 @@ def bode_gplt(params: StructuralParams, sens: AeroSensitivities, kbeta: float,
 
 def bode_grot(params: StructuralParams, sens: AeroSensitivities, kp: float,
               ki: float, nu_grid: np.ndarray) -> FrequencyResponse:
-    """Band-pass response of the reduced rotor loop, wind to omega.
-
-    If the band-pass parameterisation degenerates (ki <= 0 radicand),
-    the raw rational form is evaluated instead and flagged.
-    """
+    """Response of the reduced rotor loop, wind to omega, always from
+    its rational form g dta_dv s / (s^2 - g dta_domega s - g dta_dbeta
+    (kp s + ki)), g = ng/jr.  `degenerate` only flags gains for which the
+    band-pass parameterisation has no (nu_rot, zeta_rot) (ki <= 0
+    radicand); the response is evaluated the same way."""
     nu = np.asarray(nu_grid, dtype=float)
     g = params.ng / params.jr
     summ = rotor_summary(params, sens, kp, ki)

@@ -172,3 +172,27 @@ def close_loop(ss: StateSpace, gains: ControlGains) -> StateSpace:
     with np.errstate(over="ignore", invalid="ignore"):
         a = ss.a0 + ss.bc @ gains.k0()
     return StateSpace(a0=ss.a0.copy(), bc=ss.bc.copy(), bd=ss.bd.copy(), a=a)
+
+
+# every simulated channel and its unit, in the column order of a series
+CHANNELS = {"theta": "rad", "omega": "rad/s", "phi": "rad", "phidot": "rad/s",
+            "beta": "rad", "v": "m/s", "w": "m", "v_rel": "m/s",
+            "tower_moment": "N*m"}
+
+
+def output_map(params: StructuralParams, sens: AeroSensitivities,
+               gains: ControlGains) -> tuple[np.ndarray, np.ndarray]:
+    """C and D of y = C x + D u, u = (beta_ol, tau_g_ol, v, w), for the
+    channels past the state: blade pitch, wind, wave, relative wind
+    v - ht*phidot and the tower-base moment ht*F_a + kt*phi, F_a the
+    linearized thrust.  The feedback u_c = K0 x is folded into C as
+    close_loop folds it into A: C = C0 + Dc K0."""
+    ht = params.ht
+    c0 = np.zeros((5, 4))
+    c0[3, 3] = -ht
+    c0[4] = [0.0, ht * sens.dfa_domega, params.kt, -ht ** 2 * sens.dfa_dv]
+    d = np.zeros((5, 4))
+    d[[0, 1, 2, 3], [0, 2, 3, 2]] = 1.0  # beta_ol, v, w, v
+    d[4] = [ht * sens.dfa_dbeta, 0.0, ht * sens.dfa_dv, 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c0 + d[:, :2] @ gains.k0(), d

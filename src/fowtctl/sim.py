@@ -23,7 +23,8 @@ import numpy as np
 from numpy.fft import irfft, rfftfreq
 
 from .errors import ParameterError
-from .model import AeroSensitivities, ControlGains, StateSpace, StructuralParams
+from .model import (CHANNELS, AeroSensitivities, ControlGains, StructuralParams,
+                    build_open_loop, close_loop, output_map)
 
 DISTURBANCE_KINDS = ("step-beta", "step-wind", "mono-wave", "jonswap-wave", "wind-file")
 
@@ -78,7 +79,6 @@ class TimeSeries:
         With `channel`, only that channel is kept.  Each kept channel is
         copied out of the parsed table, which is then freed: the time
         column is read only for t0 and dt."""
-        bad = None
         try:
             # the provenance and header lines by csv (a header cell may be
             # quoted), then the body by numpy from the path, which reads
@@ -88,30 +88,13 @@ class TimeSeries:
                 head = next((r for r in reader
                              if r and not r[0].startswith("#")), None)
                 skip = reader.line_num
-            if head is not None:
-                with warnings.catch_warnings():
-                    # an empty body is reported below, not warned about
-                    warnings.simplefilter("ignore", UserWarning)
-                    try:
-                        arr = np.loadtxt(path, delimiter=",", comments="#",
-                                         skiprows=skip, ndmin=2)
-                    except ValueError:
-                        # numpy numbers the failing row differently by
-                        # fault, so the row is found again and named as
-                        # the non-finite check below names it
-                        bad = _first_bad_row(path, skip, len(head))
-                        if bad is None:
-                            raise
         except (OSError, ValueError, csv.Error) as exc:
             raise ParameterError(f"cannot read series file {path}: {exc}") from exc
-        if bad is not None:
-            raise ParameterError(f"series file {path}: {bad}")
+        if head is not None:
+            arr = _load_table(path, "series file", skip, len(head))
         if head is None or len(arr) == 0 or arr.shape[1] != len(head):
             raise ParameterError(f"series file {path} needs a header row and "
                                  "data rows with one value per column")
-        bad = _non_finite_row(arr)
-        if bad is not None:
-            raise ParameterError(f"series file {path}: {bad}")
         columns, units = {}, {}
         for i, col in enumerate(head[1:], 1):
             name, _, unit = col.partition(" [")
@@ -129,25 +112,17 @@ class TimeSeries:
         return cls(dt=dt, channels=channels, units=units, t0=float(t[0]))
 
 
-def _non_finite_row(arr: np.ndarray) -> str | None:
-    """Names the first row of a parsed table that holds a non-finite
-    value, counting from 1, or None.  The whole table is tested first, so
-    a clean one costs a single pass."""
-    if np.isfinite(arr).all():
-        return None
-    row = int(np.argmax(~np.isfinite(arr).all(axis=1))) + 1
-    return f"non-finite value in data row {row}"
-
-
-def _first_bad_row(path, skip: int, width: int) -> str | None:
-    """What is wrong with the first data row of a series file that is not
-    `width` numbers, or None.  Rows count from 1 as np.loadtxt reads them:
-    past `skip` lines, cut at `#`, and skipped only when nothing is left."""
+def _first_bad_row(path, skip: int, width: int | None) -> str | None:
+    """What is wrong with the first data row of a CSV file that is not
+    `width` numbers (None: as many as the first row has), or None.  Rows
+    count from 1 as np.loadtxt reads them: past `skip` lines, cut at `#`,
+    and skipped only when nothing is left."""
     with open(path) as fh:
         lines = (line.rstrip("\n").partition("#")[0]
                  for line in islice(fh, skip, None))
         for row, line in enumerate(filter(None, lines), 1):
             cells = line.split(",")
+            width = width or len(cells)
             if len(cells) != width:
                 return (f"wrong number of values ({len(cells)} for {width} columns) "
                         f"in data row {row}")
@@ -159,6 +134,35 @@ def _first_bad_row(path, skip: int, width: int) -> str | None:
                 except ValueError:
                     return f"non-numeric value {cell!r} in data row {row}"
     return None
+
+
+def _load_table(path, what: str, skip: int = 0,
+                width: int | None = None) -> np.ndarray:
+    """The finite numbers of a CSV file past `skip` lines, as a 2-D array.
+    A bad row ends as a ParameterError that names it: numpy numbers the
+    failing row differently by fault, so on that path the file is read
+    again by _first_bad_row."""
+    bad = None
+    try:
+        with warnings.catch_warnings():
+            # an empty body is reported by the caller, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                arr = np.loadtxt(path, delimiter=",", comments="#",
+                                 skiprows=skip, ndmin=2)
+            except ValueError:
+                bad = _first_bad_row(path, skip, width)
+                if bad is None:
+                    raise
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read {what} {path}: {exc}") from exc
+    # the whole table is tested first, so a clean one costs a single pass
+    if bad is None and not np.isfinite(arr).all():
+        row = int(np.argmax(~np.isfinite(arr).all(axis=1))) + 1
+        bad = f"non-finite value in data row {row}"
+    if bad is not None:
+        raise ParameterError(f"{what} {path}: {bad}")
+    return arr
 
 
 _ROW_BLOCK = 1024
@@ -325,21 +329,12 @@ def load_wind_file(path):
     """Two-column CSV (t, v); returns the (t, v) sample arrays.  Every
     value must be finite and t strictly increasing, which np.interp
     needs to sample it; a single row is a constant wind."""
-    try:
-        with warnings.catch_warnings():
-            # an empty file is reported below, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ParameterError(f"cannot read wind file {path}: {exc}") from exc
+    data = _load_table(path, "wind file")
     if len(data) == 0:
         raise ParameterError(f"wind file {path} has no data rows")
     if data.shape[1] < 2:
         raise ParameterError(f"wind file {path} has one column; "
                              "it needs two (t, v)")
-    bad = _non_finite_row(data)
-    if bad is not None:
-        raise ParameterError(f"wind file {path}: {bad}")
     t = data[:, 0]
     steps = np.diff(t) > 0.0
     if not steps.all():
@@ -386,23 +381,6 @@ def build_inputs(disturbances, dt: float, t_end: float):
 
     return u
 
-
-def _derived_channels(params: StructuralParams, sens: AeroSensitivities,
-                      x: np.ndarray, beta: np.ndarray,
-                      v: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]:
-    theta, omega, phi, phidot = x.T
-    v_rel = v - params.ht * phidot
-    tower = params.ht * (sens.dfa_dv * v_rel + sens.dfa_domega * omega
-                         + sens.dfa_dbeta * beta) + params.kt * phi
-    return {
-        "theta": theta, "omega": omega, "phi": phi, "phidot": phidot,
-        "beta": beta, "v": v, "w": w, "v_rel": v_rel, "tower_moment": tower,
-    }
-
-_UNITS = {
-    "theta": "rad", "omega": "rad/s", "phi": "rad", "phidot": "rad/s",
-    "beta": "rad", "v": "m/s", "w": "m", "v_rel": "m/s", "tower_moment": "N*m",
-}
 
 _DIVERGENCE_NORM = 1e12
 
@@ -547,21 +525,20 @@ def _forcing(u, t: np.ndarray, dt: float, stages) -> np.ndarray:
     return f
 
 
-def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
-             sens: AeroSensitivities, disturbances, dt: float, t_end: float,
+def simulate(params: StructuralParams, sens: AeroSensitivities,
+             gains: ControlGains, disturbances, dt: float, t_end: float,
              method: str = "rk4") -> TimeSeries:
-    """Integrate the closed loop from rest under the given disturbances.
-
-    Returns state channels plus the total blade pitch command, relative
-    wind and a tower-base-moment proxy.  A run whose state overflows is
-    truncated and flagged in meta["diverged_at"]; divergence is a valid
-    result for unstable parameter sets.
-    """
+    """Integrate the loop that gains close on the model from rest under
+    the given disturbances, into the channels of model.CHANNELS: the
+    states, then y = C x + D u of model.output_map.  A run whose state
+    overflows is truncated and flagged in meta["diverged_at"]; divergence
+    is a valid result for unstable parameter sets."""
     if dt <= 0.0 or t_end < dt:
         raise ParameterError("need dt > 0 and t_end >= dt")
     if method not in ("rk4", "exact"):
         raise ParameterError(f"unknown method {method!r}")
 
+    ss = close_loop(build_open_loop(params, sens), gains)
     n = int(round(t_end / dt)) + 1
     t = dt * np.arange(n)
     u = build_inputs(disturbances, dt, t_end)
@@ -570,16 +547,23 @@ def simulate(ss: StateSpace, gains: ControlGains, params: StructuralParams,
     states, diverged = _recur(p, _forcing(u, t, dt, stages), np.zeros(4))
     n = len(states)
     rows = u(t[:n])
-    beta = (gains.kp * states[:, 1] + gains.ki * states[:, 0]
-            + gains.kbeta * states[:, 3] + rows[:, 0])
-    # copies, so that the sampled rows are freed here
-    v, w = rows[:, 2].copy(), rows[:, 3].copy()
-    del rows
-    channels = _derived_channels(params, sens, states, beta, v, w)
+    # the sampler holds the wave series: freed before the outputs are formed
+    del u
+    channels = dict(zip(CHANNELS, states.T))
+    columns = [*states.T, *rows.T]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, weights in zip(list(CHANNELS)[4:],
+                                 np.hstack(output_map(params, sens, gains))):
+            # a zero weight adds nothing, not the nan of 0 * inf that an
+            # overflowed last state of a diverged run would give
+            y = channels[name] = np.zeros(n)
+            for weight, col in zip(weights, columns):
+                if weight:
+                    y += weight * col
     meta = {"method": method}
     if diverged:
         meta["diverged_at"] = float(t[n - 1])
-    return TimeSeries(dt=dt, channels=channels, units=dict(_UNITS), meta=meta)
+    return TimeSeries(dt=dt, channels=channels, units=dict(CHANNELS), meta=meta)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import math
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from fowtctl.cli import main
 from fowtctl.fatigue import WohlerCurve, damage_equivalent_load, rainflow
 from fowtctl.gains import (PlatformTarget, RotorTarget, kbeta_zeta_fixed,
                            synthesize)
-from fowtctl.model import (AeroSensitivities, ControlGains, StateSpace,
-                           StructuralParams, build_open_loop, close_loop)
+from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
+                           build_open_loop, close_loop)
 from fowtctl.sim import DisturbanceSpec, free_decay, simulate
 from fowtctl.stability import (NmpzBoundaryWarning, modal_report,
                                nmpz_omega_condition, nmpz_phi_condition,
@@ -42,9 +43,8 @@ def _verdict(label: str, ok: bool) -> bool:
 
 def _beta_step_response(params, sens, t_end=300.0, dt=0.02):
     """Open-loop unit blade-pitch step from rest (no feedback)."""
-    ss = close_loop(build_open_loop(params, sens), ControlGains())
     specs = [DisturbanceSpec(kind="step-beta", amplitude=1.0)]
-    return simulate(ss, ControlGains(), params, sens, specs,
+    return simulate(params, sens, ControlGains(), specs,
                     dt=dt, t_end=t_end, method="exact")
 
 
@@ -147,11 +147,10 @@ def test_damping_imposition(params, sens_t1f):
 def test_integrator_fidelity(params, sens_t1f):
     gains = synthesize(params, sens_t1f, TUNING, strategy="zeta-fixed",
                        zeta_plt=0.1)
-    ss = close_loop(build_open_loop(params, sens_t1f), gains)
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0)]
-    rk4 = simulate(ss, gains, params, sens_t1f, specs, dt=0.01, t_end=100.0,
+    rk4 = simulate(params, sens_t1f, gains, specs, dt=0.01, t_end=100.0,
                    method="rk4")
-    zoh = simulate(ss, gains, params, sens_t1f, specs, dt=0.01, t_end=100.0,
+    zoh = simulate(params, sens_t1f, gains, specs, dt=0.01, t_end=100.0,
                    method="exact")
     err = max(np.max(np.abs(rk4.channels[n] - zoh.channels[n]))
               for n in ("theta", "omega", "phi", "phidot"))
@@ -160,22 +159,12 @@ def test_integrator_fidelity(params, sens_t1f):
                     f"discretization to {err:.2e} (< 1e-8) over 100 s", ok)
 
 
-def _platform_ss(params, sens, kbeta):
-    """Platform dynamics alone, rotor channels zeroed out."""
-    a = np.zeros((4, 4))
-    a[2, 3] = 1.0
-    a[3, 2] = -params.kt / params.jt
-    a[3, 3] = -(params.dt + params.ht ** 2 * sens.dfa_dv
-                - kbeta * params.ht * sens.dfa_dbeta) / params.jt
-    bd = np.zeros((4, 2))
-    bd[3, 1] = sens.dtw_dw / params.jt
-    return StateSpace(a0=a.copy(), bc=np.zeros((4, 2)), bd=bd, a=a)
-
-
 def _forced_amplitude(params, sens, kbeta, tp, hw, t_end=900.0, dt=0.05):
-    ss = _platform_ss(params, sens, kbeta)
+    # the platform dynamics alone: without dfa_domega and the PI gains,
+    # the rotor does not act on the platform-pitch row
     specs = [DisturbanceSpec(kind="mono-wave", amplitude=hw, period=tp)]
-    ts = simulate(ss, ControlGains(), params, sens, specs, dt=dt, t_end=t_end)
+    ts = simulate(params, replace(sens, dfa_domega=0.0),
+                  ControlGains(kbeta=kbeta), specs, dt=dt, t_end=t_end)
     # project the post-transient tail onto the forcing harmonics
     tail = ts.window(t_end - 10.0 * tp)
     t = tail.time
@@ -206,9 +195,8 @@ def test_frequency_time_consistency(params, sens_t1f):
 def _strategy_run(params, sens, kbeta, tp, t_end=700.0):
     gains = ControlGains(kp=-0.359736733973185, ki=2.0742012684134593e-4,
                          kbeta=kbeta)
-    ss = close_loop(build_open_loop(params, sens), gains)
     specs = [DisturbanceSpec(kind="mono-wave", amplitude=1.5, period=tp)]
-    ts = simulate(ss, gains, params, sens, specs, dt=0.05, t_end=t_end)
+    ts = simulate(params, sens, gains, specs, dt=0.05, t_end=t_end)
     tail = ts.window(t_end - 300.0)
     amp = float(np.std(tail.channels["phi"]))
     cycles = rainflow(tail.channels["tower_moment"], hysteresis_frac=1e-3)

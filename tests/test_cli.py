@@ -16,6 +16,7 @@ import fowtctl
 from fowtctl import cli
 from fowtctl.cli import _resolve_gains, main
 from fowtctl.config import _data_dir, load_run_config
+from fowtctl.model import CHANNELS
 from fowtctl.sim import TimeSeries
 from fowtctl.stability import numerator_omega, numerator_phi
 
@@ -124,6 +125,13 @@ def test_simulate_output_round_trips(tmp_path):
     assert head[0].startswith("# fowtctl")
     assert "config_hash=" in head[1]
     assert "seed=42" in head[3]
+
+
+def test_timeseries_columns_follow_the_channel_table(tmp_path):
+    cfg = _cfg(tmp_path, SIM)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    head = _read_rows(tmp_path / "o" / "timeseries.csv")[0]
+    assert head == ["t [s]"] + [f"{name} [{unit}]" for name, unit in CHANNELS.items()]
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -417,6 +425,8 @@ duration = 5
                  ["--params-dir", "{params}"], id="misspelled-key-in-set"),
     pytest.param(_SIM_SHORT + "\n[disturbancex]\nkind = step-wind\n"
                  "amplitude = 1\n", [], id="disturbance-without-dot"),
+    pytest.param(MINIMAL.replace("umaine-iea15", "extra"),
+                 ["--params-dir", "{params}"], id="extra-section-in-set"),
 ])
 def test_malformed_input_ends_as_error(tmp_path, capsys, text, extra):
     broken = tmp_path / "params" / "structure" / "broken.ini"
@@ -424,6 +434,9 @@ def test_malformed_input_ends_as_error(tmp_path, capsys, text, extra):
     broken.write_text("[structure]\nng = 1\nng = 2\n")
     (broken.parent / "typo.ini").write_text(
         (_data_dir() / "structure" / "umaine-iea15.ini").read_text() + "htt = 3\n")
+    (broken.parent / "extra.ini").write_text(
+        (_data_dir() / "structure" / "umaine-iea15.ini").read_text()
+        + "[structur]\nkt = 2e10\n")
     fill = {"missing": tmp_path / "no-such-wind.csv", "params": tmp_path / "params"}
     cfg = (str(tmp_path / "no-such.ini") if text is None
            else _cfg(tmp_path, text.format(**fill)))
@@ -482,7 +495,7 @@ sens.12 = table1-true
 
 
 def test_campaign_missing_set_ends_before_any_case(tmp_path, monkeypatch, capsys):
-    runs = _counting(monkeypatch, "_run_simulation")
+    runs = _counting(monkeypatch, "simulate")
     cfg = _cfg(tmp_path, SIM + """
 [campaign]
 wind_speeds = 12, 16
@@ -613,6 +626,12 @@ def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):
     pytest.param("# t, v\n", "has no data rows", id="comment-only"),
     pytest.param("0\n300\n600\n", "has one column; it needs two (t, v)",
                  id="one-column"),
+    # rows named as series files name them, not as numpy's message does
+    pytest.param("0,10\n# gust\n300,abc\n600,12\n",
+                 "non-numeric value 'abc' in data row 2", id="non-numeric"),
+    pytest.param("0,10\n300,12,1\n600,12\n",
+                 "wrong number of values (3 for 2 columns) in data row 2",
+                 id="ragged"),
 ])
 def test_bad_wind_file_ends_as_error(tmp_path, capsys, body, msg):
     wind = tmp_path / "wind.csv"

@@ -26,6 +26,14 @@ def test_every_exported_name_resolves():
     assert len(set(fowtctl.__all__)) == len(fowtctl.__all__)
 
 
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library sketch\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    phi_nmpz, stable, del_tower = capsys.readouterr().out.split()
+    assert (phi_nmpz, stable) == ("False", "True") and float(del_tower) > 0.0
+
+
 def _import_fowtctl(preset: dict, numpy_first: bool = False) -> dict:
     """In a fresh interpreter whose environment holds no thread-count
     variable but `preset`: import fowtctl (after numpy, if `numpy_first`)

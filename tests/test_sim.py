@@ -15,8 +15,7 @@ from fowtctl import sim
 from fowtctl.config import _data_dir, load_sensitivities
 from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
-from fowtctl.model import (ControlGains, StateSpace, build_open_loop,
-                           close_loop)
+from fowtctl.model import ControlGains, build_open_loop, close_loop
 from fowtctl.sim import (_BLOCK, _POWER_LIMIT, _ROW_BLOCK, DisturbanceSpec,
                          TimeSeries, _expm, _jonswap_amplitudes, _powers, _recur,
                          _smooth_length, build_inputs, csv_cell, free_decay,
@@ -289,8 +288,8 @@ def test_wind_file_input(tmp_path):
 # --- simulate ----------------------------------------------------------
 
 def test_simulate_zero_input_stays_zero(closed_t1f, params, sens_t1f):
-    ss, gains = closed_t1f
-    ts = simulate(ss, gains, params, sens_t1f, [], dt=0.05, t_end=5.0)
+    _, gains = closed_t1f
+    ts = simulate(params, sens_t1f, gains, [], dt=0.05, t_end=5.0)
     for name in ("theta", "omega", "phi", "phidot", "beta", "tower_moment"):
         np.testing.assert_array_equal(ts.channels[name], 0.0)
 
@@ -298,7 +297,7 @@ def test_simulate_zero_input_stays_zero(closed_t1f, params, sens_t1f):
 def test_simulate_step_reaches_linear_steady_state(closed_t1f, params, sens_t1f):
     ss, gains = closed_t1f
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0)]
-    ts = simulate(ss, gains, params, sens_t1f, specs, dt=0.05, t_end=2000.0)
+    ts = simulate(params, sens_t1f, gains, specs, dt=0.05, t_end=2000.0)
     b = ss.b_full()
     x_ss = np.linalg.solve(ss.closed, -b @ np.array([0.0, 0.0, 1.0, 0.0]))
     # the slow rotor mode (nu = 0.01 rad/s) dominates the residual
@@ -307,12 +306,12 @@ def test_simulate_step_reaches_linear_steady_state(closed_t1f, params, sens_t1f)
 
 
 def test_rk4_matches_exact_discretization(closed_t1f, params, sens_t1f):
-    ss, gains = closed_t1f
+    _, gains = closed_t1f
     # constant input from t = 0 so the zero-order hold is exact for both
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0)]
-    a = simulate(ss, gains, params, sens_t1f, specs, dt=0.01, t_end=50.0,
+    a = simulate(params, sens_t1f, gains, specs, dt=0.01, t_end=50.0,
                  method="rk4")
-    b = simulate(ss, gains, params, sens_t1f, specs, dt=0.01, t_end=50.0,
+    b = simulate(params, sens_t1f, gains, specs, dt=0.01, t_end=50.0,
                  method="exact")
     for name in ("theta", "omega", "phi", "phidot"):
         assert np.max(np.abs(a.channels[name] - b.channels[name])) < 1e-8
@@ -366,7 +365,7 @@ def test_one_step_map_matches_per_step_loop(closed_t1f, params, sens_t1f, method
              DisturbanceSpec(kind="step-beta", amplitude=0.01, onset=30.0),
              DisturbanceSpec(kind="step-wind", amplitude=1.0,
                              onset=max(t[k - 1] + dt, t[k]))]
-    ts = simulate(ss, gains, params, sens_t1f, specs, dt=dt, t_end=t_end,
+    ts = simulate(params, sens_t1f, gains, specs, dt=dt, t_end=t_end,
                   method=method)
     _assert_states_match(ts, _reference_states(ss, specs, dt, t_end, method))
 
@@ -378,7 +377,7 @@ def test_divergence_matches_per_step_check(params, sens_t1f, method):
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0, onset=1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ts = simulate(ss, gains, params, sens_t1f, specs, dt=0.05,
+        ts = simulate(params, sens_t1f, gains, specs, dt=0.05,
                       t_end=600.0, method=method)
     assert ts.meta["diverged_at"] == 18.05
     assert len(ts) == 362
@@ -462,13 +461,13 @@ def test_powers_match_the_per_power_loop():
 def test_simulate_memory_per_step(closed_t1f, params, sens_t1f, method):
     # the forcing, the scan's work array and the states are never all
     # held at once, and the returned channels keep no sampled input rows
-    ss, gains = closed_t1f
+    _, gains = closed_t1f
     specs = [DisturbanceSpec(kind="jonswap-wave", hs=1.5, period=11.0,
                              gamma=3.3, seed=1),
              DisturbanceSpec(kind="step-wind", amplitude=1.0, onset=100.0)]
 
     def run():
-        return simulate(ss, gains, params, sens_t1f, specs, dt=0.05,
+        return simulate(params, sens_t1f, gains, specs, dt=0.05,
                         t_end=600.0, method=method)
 
     run()  # warm-up: first-call caches are not the function's memory
@@ -484,37 +483,84 @@ def test_simulate_memory_per_step(closed_t1f, params, sens_t1f, method):
 
 
 def test_simulate_divergence_truncates_and_flags(params, sens_t1f):
-    a_unstable = np.diag([1.0, 1.0, 1.0, 1.0]) * 5.0
-    ss = StateSpace(a0=a_unstable.copy(),
-                    bc=np.zeros((4, 2)), bd=np.eye(4, 2), a=a_unstable)
-    ts = simulate(ss, ControlGains(), params, sens_t1f,
-                  [DisturbanceSpec(kind="step-wind", amplitude=1.0)],
-                  dt=0.05, t_end=100.0, method="exact")
-    assert "diverged_at" in ts.meta
-    assert ts.meta["diverged_at"] < 100.0
-    assert len(ts) < 2001
-    assert np.all(np.isfinite(ts.channels["phi"][:-1]))
+    # a PI gain of the wrong sign: the rotor mode grows at about 0.8 1/s
+    for method in ("rk4", "exact"):
+        ts = simulate(params, sens_t1f, ControlGains(kp=-2.0),
+                      [DisturbanceSpec(kind="step-wind", amplitude=1.0)],
+                      dt=0.05, t_end=100.0, method=method)
+        assert "diverged_at" in ts.meta
+        assert ts.meta["diverged_at"] < 100.0
+        assert len(ts) < 2001
+        for name, values in ts.channels.items():
+            assert np.all(np.isfinite(values)), (method, name)
+
+
+def test_overflowed_state_leaves_the_outputs_it_does_not_enter(params, sens_t1f):
+    # the exact one-step map of this loop overflows, so the first state is
+    # nan; a zero weight of the output map adds nothing, where 0 * nan
+    # would turn the inputs and the pitch of zero PI and platform gains
+    # into nan too
+    specs = [DisturbanceSpec(kind="step-beta", amplitude=0.01),
+             DisturbanceSpec(kind="step-wind", amplitude=1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = simulate(params, sens_t1f, ControlGains(ktaug=1e40), specs,
+                      dt=0.05, t_end=10.0, method="exact")
+    assert ts.meta["diverged_at"] == 0.05 and len(ts) == 2
+    last = {name: values[-1] for name, values in ts.channels.items()}
+    assert (last["beta"], last["v"], last["w"]) == (0.01, 1.0, 0.0)
+    for name in ("theta", "omega", "phi", "phidot", "v_rel", "tower_moment"):
+        assert math.isnan(last[name]), name
 
 
 def test_simulate_method_validation(closed_t1f, params, sens_t1f):
-    ss, gains = closed_t1f
+    _, gains = closed_t1f
     with pytest.raises(ParameterError):
-        simulate(ss, gains, params, sens_t1f, [], dt=0.05, t_end=1.0,
+        simulate(params, sens_t1f, gains, [], dt=0.05, t_end=1.0,
                  method="euler")
     with pytest.raises(ParameterError):
-        simulate(ss, gains, params, sens_t1f, [], dt=-0.1, t_end=1.0)
+        simulate(params, sens_t1f, gains, [], dt=-0.1, t_end=1.0)
 
 
 def test_tower_moment_definition(closed_t1f, params, sens_t1f):
-    ss, gains = closed_t1f
+    _, gains = closed_t1f
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0)]
-    ts = simulate(ss, gains, params, sens_t1f, specs, dt=0.05, t_end=10.0)
+    ts = simulate(params, sens_t1f, gains, specs, dt=0.05, t_end=10.0)
     c = ts.channels
     expected = (params.ht * (sens_t1f.dfa_dv * c["v_rel"]
                              + sens_t1f.dfa_domega * c["omega"]
                              + sens_t1f.dfa_dbeta * c["beta"])
                 + params.kt * c["phi"])
     np.testing.assert_allclose(c["tower_moment"], expected, rtol=1e-12)
+
+
+def test_tower_moment_is_the_platform_row_of_the_dynamics(params):
+    """On every packaged set under every strategy, the output map's tower
+    moment is the thrust moment the platform-pitch row of A x + B u
+    carries: jt phi'' + dt phidot + kt phi - dtw_dw w = ht F_a - kt phi."""
+    sets = sorted(p.stem for p in (_data_dir() / "sensitivities").glob("*.ini"))
+    assert len(sets) == 5
+    dt, t_end = 0.05, 100.0
+    specs = [DisturbanceSpec(kind="jonswap-wave", hs=1.5, period=8.0,
+                             gamma=3.3, seed=3),
+             DisturbanceSpec(kind="step-wind", amplitude=1.0, onset=10.0),
+             DisturbanceSpec(kind="step-beta", amplitude=0.01, onset=20.0)]
+    for name in sets:
+        sens = load_sensitivities(name)[0]
+        for kind, zeta in (("none", None), ("reference", None),
+                           ("zeta-fixed", 0.10), ("zeta-fixed", 0.25)):
+            gains = synthesize(params, sens, RotorTarget(0.6, 0.01),
+                               strategy=kind, zeta_plt=zeta)
+            ss = close_loop(build_open_loop(params, sens), gains)
+            ts = simulate(params, sens, gains, specs, dt=dt, t_end=t_end)
+            c = ts.channels
+            x = np.column_stack([c[n] for n in ("theta", "omega", "phi", "phidot")])
+            u = build_inputs(specs, dt, t_end)(ts.time)
+            accel = (x @ ss.closed.T + u @ ss.b_full().T)[:, 3]
+            want = (params.jt * accel + params.dt * c["phidot"]
+                    + 2.0 * params.kt * c["phi"] - sens.dtw_dw * c["w"])
+            peak = np.max(np.abs(c["tower_moment"]))
+            assert np.max(np.abs(c["tower_moment"] - want)) <= 1e-9 * peak, (name, kind)
 
 
 # --- matrix exponential ------------------------------------------------
