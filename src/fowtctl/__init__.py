@@ -31,8 +31,8 @@ from .gains import (PlatformTarget, RotorTarget, kbeta_reference,
                     kbeta_zeta_fixed, ktaug, synthesize, tune_pi)
 from .model import (AeroSensitivities, ControlGains, StateSpace,
                     StructuralParams, build_open_loop, close_loop)
-from .sim import (DisturbanceSpec, FreeDecayResult, TimeSeries, free_decay,
-                  jonswap_spectrum, jonswap_wave, simulate)
+from .sim import (DisturbanceSpec, TimeSeries, jonswap_spectrum, jonswap_wave,
+                  simulate)
 from .stability import (Mode, ModalReport, ModeSummary, NmpzBoundaryWarning,
                         modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
@@ -49,8 +49,8 @@ __all__ = [
     "nmpz_phi_condition", "nmpz_omega_condition",
     "numerator_phi", "numerator_omega", "modal_report",
     "rotor_summary", "platform_summary",
-    "TimeSeries", "DisturbanceSpec", "FreeDecayResult",
-    "jonswap_spectrum", "jonswap_wave", "simulate", "free_decay",
+    "TimeSeries", "DisturbanceSpec",
+    "jonswap_spectrum", "jonswap_wave", "simulate",
     "FrequencyResponse", "default_grid", "bode_gplt", "bode_grot", "damped_band",
     "Cycle", "Cycles", "WohlerCurve", "turning_points", "rainflow",
     "damage_equivalent_load", "miner_damage",

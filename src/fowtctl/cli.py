@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,17 @@ def _header(cfg: RunConfig) -> list[str]:
     ]
 
 
+def _synthesize(cfg: RunConfig, sens: AeroSensitivities, kind: str,
+                zeta_plt: float | None) -> ControlGains:
+    return synthesize(cfg.params, sens,
+                      RotorTarget(zeta_rot=cfg.zeta_rot, nu_rot=cfg.nu_rot),
+                      strategy=kind, zeta_plt=zeta_plt, m_taug=cfg.m_taug)
+
+
 def _resolve_gains(cfg: RunConfig) -> ControlGains:
     if cfg.gains_override is not None:
         return cfg.gains_override
-    return synthesize(cfg.params, cfg.sens,
-                      RotorTarget(zeta_rot=cfg.zeta_rot, nu_rot=cfg.nu_rot),
-                      strategy=cfg.strategy, zeta_plt=cfg.zeta_plt,
-                      m_taug=cfg.m_taug)
+    return _synthesize(cfg, cfg.sens, cfg.strategy, cfg.zeta_plt)
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
@@ -82,12 +86,12 @@ def cmd_tune(cfg: RunConfig, out: Path) -> int:
 
 def cmd_analyze(cfg: RunConfig, out: Path) -> int:
     gains = _resolve_gains(cfg)
-    ss = close_loop(build_open_loop(cfg.params, cfg.sens), gains)
+    loop = close_loop(build_open_loop(cfg.params, cfg.sens), gains)
     phi_cond = nmpz_phi_condition(cfg.sens)
     omega_cond = nmpz_omega_condition(cfg.params, cfg.sens, gains.ktaug)
     n_phi = numerator_phi(cfg.params, cfg.sens)
     n_omega = numerator_omega(cfg.params, cfg.sens, gains.ktaug)
-    report = modal_report(ss.closed)
+    report = modal_report(loop.closed)
     verdict = "stable" if report.stable else "unstable"
     lo, hi = damped_band(cfg.params)
 
@@ -118,8 +122,9 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    ts = simulate(cfg.params, cfg.sens, _resolve_gains(cfg), cfg.disturbances,
-                  dt=cfg.dt, t_end=cfg.duration, method=cfg.method)
+    loop = close_loop(build_open_loop(cfg.params, cfg.sens), _resolve_gains(cfg))
+    ts = simulate(loop, cfg.disturbances, dt=cfg.dt, t_end=cfg.duration,
+                  method=cfg.method)
     path = out / "timeseries.csv"
     header = _header(cfg)
     if "diverged_at" in ts.meta:
@@ -142,11 +147,8 @@ def cmd_bode(cfg: RunConfig, out: Path) -> int:
     for resp in responses:
         name = resp.label.replace("<-", "_from_")
         path = out / f"bode_{name}.csv"
-        header = _header(cfg)
-        if resp.degenerate:
-            header.append("degenerate: band-pass form refused, raw rational response")
-        write_csv(path, header, ["nu [rad/s]", "magnitude [dB]", "phase [deg]"],
-                  "%.12g,%.12g,%.12g",
+        write_csv(path, _header(cfg),
+                  ["nu [rad/s]", "magnitude [dB]", "phase [deg]"], "%.12g,%.12g,%.12g",
                   ((nu, 20.0 * math.log10(mag), math.degrees(ph))
                    for nu, mag, ph in zip(resp.nu_grid.tolist(),
                                           resp.magnitude.tolist(),
@@ -192,15 +194,11 @@ def _campaign_case(cfg: RunConfig, index: int, speed: float,
     """One campaign.csv row: synthesized gains, stability, statistics and
     tower fatigue of one (speed, strategy) simulation under sens.  index
     numbers the case in the grid and keys its JONSWAP phases."""
-    kind, zeta = strategy
-    disturbances = [replace(spec, case=index) for spec in cfg.disturbances]
-    case = replace(cfg, sens=sens, strategy=kind, zeta_plt=zeta,
-                   gains_override=None, disturbances=disturbances)
-    gains = _resolve_gains(case)
-    ts = simulate(cfg.params, sens, gains, disturbances, dt=cfg.dt,
-                  t_end=cfg.duration, method=cfg.method)
-    stable = modal_report(close_loop(build_open_loop(cfg.params, sens),
-                                     gains).closed).stable
+    gains = _synthesize(cfg, sens, *strategy)
+    loop = close_loop(build_open_loop(cfg.params, sens), gains)
+    ts = simulate(loop, cfg.disturbances, dt=cfg.dt, t_end=cfg.duration,
+                  method=cfg.method, case=index)
+    stable = modal_report(loop.closed).stable
     diverged = "diverged_at" in ts.meta
     t_skip = cfg.transient if cfg.transient < cfg.duration else 0.0
     post = ts.window(t_skip) if not diverged else ts

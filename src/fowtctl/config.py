@@ -300,9 +300,11 @@ def load_run_config(path, search_dir=None, seed=None) -> RunConfig:
     if "gains" in vals:
         cfg.gains_override = ControlGains(**vals["gains"])
 
-    # the rules that span keys or sections
-    if cfg.strategy == "zeta-fixed" and cfg.zeta_plt is None:
-        raise ConfigError("zeta-fixed strategy requires zeta")
+    # the rules that span keys or sections; [strategy] kind and zeta as
+    # each [campaign] strategies entry
+    _require(_valid_strategy(cfg.strategy, cfg.zeta_plt), "zeta", "[strategy]",
+             cfg.zeta_plt, "finite and > 0 with kind = zeta-fixed"
+             if cfg.strategy == "zeta-fixed" else f"absent with kind = {cfg.strategy}")
     for name in sorted(s for s in vals if s.startswith("disturbance.")):
         spec = vals[name]
         if "kind" not in spec:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import AeroSensitivities, StructuralParams
-from .stability import platform_summary, rotor_summary
+from .stability import platform_summary
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class FrequencyResponse:
     magnitude: np.ndarray
     phase: np.ndarray     # rad
     label: str
-    degenerate: bool = False
 
     def __post_init__(self):
         if np.any(np.diff(self.nu_grid) <= 0.0):
@@ -80,20 +79,17 @@ def bode_grot(params: StructuralParams, sens: AeroSensitivities, kp: float,
               ki: float, nu_grid: np.ndarray) -> FrequencyResponse:
     """Response of the reduced rotor loop, wind to omega, always from
     its rational form g dta_dv s / (s^2 - g dta_domega s - g dta_dbeta
-    (kp s + ki)), g = ng/jr.  `degenerate` only flags gains for which the
-    band-pass parameterisation has no (nu_rot, zeta_rot) (ki <= 0
-    radicand); the response is evaluated the same way."""
+    (kp s + ki)), g = ng/jr, whether or not the gains have a band-pass
+    parameterisation (nu_rot, zeta_rot)."""
     nu = np.asarray(nu_grid, dtype=float)
     g = params.ng / params.jr
-    summ = rotor_summary(params, sens, kp, ki)
     s = 1j * nu
     with _overflow_is_an_error("omega<-v"):
         denom = s ** 2 - g * sens.dta_domega * s - g * sens.dta_dbeta * (kp * s + ki)
         h = g * sens.dta_dv * s / denom
         magnitude = np.abs(h)
     return FrequencyResponse(nu_grid=nu, magnitude=magnitude,
-                             phase=np.unwrap(np.angle(h)), label="omega<-v",
-                             degenerate=summ.degenerate)
+                             phase=np.unwrap(np.angle(h)), label="omega<-v")
 
 
 def damped_band(params: StructuralParams) -> tuple[float, float]:

@@ -11,7 +11,7 @@ configuration boundary, never here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -113,16 +113,21 @@ class ControlGains:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Open-loop matrices (a0, bc, bd) and, after close_loop, the
-    closed-loop matrix a.  Arrays are frozen; treat instances as values."""
+    """Open-loop matrices of x' = A0 x + Bc u_c + Bd u_d and of the
+    channels past the state, y = C0 x + D u with u = (beta_ol, tau_g_ol,
+    v, w), and, after close_loop, the closed-loop a and c.  Arrays are
+    frozen; treat instances as values."""
 
     a0: np.ndarray
     bc: np.ndarray
     bd: np.ndarray
+    c0: np.ndarray
+    d: np.ndarray
     a: np.ndarray | None = None
+    c: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.a0, self.bc, self.bd, self.a):
+        for arr in (self.a0, self.bc, self.bd, self.c0, self.d, self.a, self.c):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -139,7 +144,10 @@ class StateSpace:
 
 def build_open_loop(params: StructuralParams, sens: AeroSensitivities) -> StateSpace:
     """Assemble the 4-state open-loop matrices from the linearized
-    rotor and platform-pitch equations."""
+    rotor and platform-pitch equations, and the output rows of the
+    channels past the state: blade pitch, wind, wave, relative wind
+    v - ht*phidot and the tower-base moment ht*F_a + kt*phi, F_a the
+    linearized thrust."""
     ng_jr = params.ng / params.jr
     ht_jt = params.ht / params.jt
 
@@ -162,31 +170,6 @@ def build_open_loop(params: StructuralParams, sens: AeroSensitivities) -> StateS
         [0.0, 0.0],
         [ht_jt * sens.dfa_dv, sens.dtw_dw / params.jt],
     ])
-    return StateSpace(a0=a0, bc=bc, bd=bd)
-
-
-def close_loop(ss: StateSpace, gains: ControlGains) -> StateSpace:
-    """Fold the feedback u_c = K0 x into the state matrix: A = A0 + Bc K0.
-    An overflow leaves inf or nan in A, which modal_report refuses and
-    simulate flags as diverged, so it is not warned about here."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = ss.a0 + ss.bc @ gains.k0()
-    return StateSpace(a0=ss.a0.copy(), bc=ss.bc.copy(), bd=ss.bd.copy(), a=a)
-
-
-# every simulated channel and its unit, in the column order of a series
-CHANNELS = {"theta": "rad", "omega": "rad/s", "phi": "rad", "phidot": "rad/s",
-            "beta": "rad", "v": "m/s", "w": "m", "v_rel": "m/s",
-            "tower_moment": "N*m"}
-
-
-def output_map(params: StructuralParams, sens: AeroSensitivities,
-               gains: ControlGains) -> tuple[np.ndarray, np.ndarray]:
-    """C and D of y = C x + D u, u = (beta_ol, tau_g_ol, v, w), for the
-    channels past the state: blade pitch, wind, wave, relative wind
-    v - ht*phidot and the tower-base moment ht*F_a + kt*phi, F_a the
-    linearized thrust.  The feedback u_c = K0 x is folded into C as
-    close_loop folds it into A: C = C0 + Dc K0."""
     ht = params.ht
     c0 = np.zeros((5, 4))
     c0[3, 3] = -ht
@@ -194,5 +177,23 @@ def output_map(params: StructuralParams, sens: AeroSensitivities,
     d = np.zeros((5, 4))
     d[[0, 1, 2, 3], [0, 2, 3, 2]] = 1.0  # beta_ol, v, w, v
     d[4] = [ht * sens.dfa_dbeta, 0.0, ht * sens.dfa_dv, 0.0]
+    return StateSpace(a0=a0, bc=bc, bd=bd, c0=c0, d=d)
+
+
+def close_loop(ss: StateSpace, gains: ControlGains) -> StateSpace:
+    """Fold the feedback u_c = K0 x into the state and output matrices:
+    A = A0 + Bc K0 and C = C0 + Dc K0, Dc the control columns of D.  An
+    overflow leaves inf or nan in them, which modal_report refuses and
+    simulate flags as diverged, so it is not warned about here."""
+    k0 = gains.k0()
     with np.errstate(over="ignore", invalid="ignore"):
-        return c0 + d[:, :2] @ gains.k0(), d
+        a = ss.a0 + ss.bc @ k0
+        c = ss.c0 + ss.d[:, :2] @ k0
+    return replace(ss, a=a, c=c)
+
+
+# every simulated channel and its unit, in the column order of a series:
+# the state, then the rows of C and D
+CHANNELS = {"theta": "rad", "omega": "rad/s", "phi": "rad", "phidot": "rad/s",
+            "beta": "rad", "v": "m/s", "w": "m", "v_rel": "m/s",
+            "tower_moment": "N*m"}

@@ -5,8 +5,7 @@ waves, wind files) are combined into one input sampler u(tt); the linear
 closed loop is integrated with classical RK4 or with the exact
 zero-order-hold discretization, both run as one affine recurrence
 x[k+1] = P x[k] + f[k], evaluated as a blocked scan, on inputs sampled
-once per stage time.  The free response behind the log-decrement
-damping estimate runs on the same recurrence with zero forcing.
+once per stage time.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import numpy as np
 from numpy.fft import irfft, rfftfreq
 
 from .errors import ParameterError
-from .model import (CHANNELS, AeroSensitivities, ControlGains, StructuralParams,
-                    build_open_loop, close_loop, output_map)
+from .model import CHANNELS, StateSpace
 
 DISTURBANCE_KINDS = ("step-beta", "step-wind", "mono-wave", "jonswap-wave", "wind-file")
 
@@ -222,7 +220,6 @@ class DisturbanceSpec:
     gamma: float = 1.0      # peak-enhancement factor (jonswap)
     seed: int | None = None
     path: str | None = None  # two-column CSV (t, v) for wind-file
-    case: int = 0           # campaign case index, keys the jonswap phases
 
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
@@ -332,9 +329,9 @@ def load_wind_file(path):
     data = _load_table(path, "wind file")
     if len(data) == 0:
         raise ParameterError(f"wind file {path} has no data rows")
-    if data.shape[1] < 2:
-        raise ParameterError(f"wind file {path} has one column; "
-                             "it needs two (t, v)")
+    if data.shape[1] != 2:
+        cols = "one column" if data.shape[1] == 1 else f"{data.shape[1]} columns"
+        raise ParameterError(f"wind file {path} has {cols}; it needs two (t, v)")
     t = data[:, 0]
     steps = np.diff(t) > 0.0
     if not steps.all():
@@ -343,15 +340,15 @@ def load_wind_file(path):
     return t, data[:, 1]
 
 
-def build_inputs(disturbances, dt: float, t_end: float):
+def build_inputs(disturbances, dt: float, t_end: float, case: int = 0):
     """Combine disturbance specs into one sampler u(tt) of a time array.
 
     u(tt) returns the rows (beta_ol, tau_g_ol, v, w), one per time in tt;
     contributions to the same channel add: steps before wind files, mono
     waves before the summed irregular waves.  Wave series are synthesized
     here once and interpolated by the sampler; the JONSWAP disturbances
-    are numbered from 0 in list order, and each number keys its own
-    phases."""
+    are numbered from 0 in list order, and each number, with the campaign
+    case index, keys its own phases."""
     steps, winds, monos, irregular = [], [], [], []
     for spec in disturbances:
         if spec.kind == "step-beta":
@@ -364,7 +361,7 @@ def build_inputs(disturbances, dt: float, t_end: float):
             monos.append((spec.period, spec.amplitude))
         elif spec.kind == "jonswap-wave":
             w = jonswap_wave(spec.hs, spec.period, spec.gamma, spec.seed, dt,
-                             t_end, section=len(irregular), case=spec.case)
+                             t_end, section=len(irregular), case=case)
             irregular.append((dt * np.arange(len(w)), w))
 
     def u(tt: np.ndarray) -> np.ndarray:
@@ -525,24 +522,23 @@ def _forcing(u, t: np.ndarray, dt: float, stages) -> np.ndarray:
     return f
 
 
-def simulate(params: StructuralParams, sens: AeroSensitivities,
-             gains: ControlGains, disturbances, dt: float, t_end: float,
-             method: str = "rk4") -> TimeSeries:
-    """Integrate the loop that gains close on the model from rest under
-    the given disturbances, into the channels of model.CHANNELS: the
-    states, then y = C x + D u of model.output_map.  A run whose state
-    overflows is truncated and flagged in meta["diverged_at"]; divergence
-    is a valid result for unstable parameter sets."""
+def simulate(loop: StateSpace, disturbances, dt: float, t_end: float,
+             method: str = "rk4", case: int = 0) -> TimeSeries:
+    """Integrate the closed loop from rest under the given disturbances,
+    into the channels of model.CHANNELS: the states, then y = C x + D u
+    of the loop's c and d.  case is the campaign case index that keys
+    the JONSWAP phases (0 for a single run).  A run whose state
+    overflows is truncated and flagged in meta["diverged_at"];
+    divergence is a valid result for unstable parameter sets."""
     if dt <= 0.0 or t_end < dt:
         raise ParameterError("need dt > 0 and t_end >= dt")
     if method not in ("rk4", "exact"):
         raise ParameterError(f"unknown method {method!r}")
 
-    ss = close_loop(build_open_loop(params, sens), gains)
     n = int(round(t_end / dt)) + 1
     t = dt * np.arange(n)
-    u = build_inputs(disturbances, dt, t_end)
-    p, stages = _one_step_map(ss.closed, ss.b_full(), dt, method)
+    p, stages = _one_step_map(loop.closed, loop.b_full(), dt, method)
+    u = build_inputs(disturbances, dt, t_end, case)
     # passed, not kept, so that _recur can free it
     states, diverged = _recur(p, _forcing(u, t, dt, stages), np.zeros(4))
     n = len(states)
@@ -552,8 +548,7 @@ def simulate(params: StructuralParams, sens: AeroSensitivities,
     channels = dict(zip(CHANNELS, states.T))
     columns = [*states.T, *rows.T]
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, weights in zip(list(CHANNELS)[4:],
-                                 np.hstack(output_map(params, sens, gains))):
+        for name, weights in zip(list(CHANNELS)[4:], np.hstack([loop.c, loop.d])):
             # a zero weight adds nothing, not the nan of 0 * inf that an
             # overflowed last state of a diverged run would give
             y = channels[name] = np.zeros(n)
@@ -564,53 +559,3 @@ def simulate(params: StructuralParams, sens: AeroSensitivities,
     if diverged:
         meta["diverged_at"] = float(t[n - 1])
     return TimeSeries(dt=dt, channels=channels, units=dict(CHANNELS), meta=meta)
-
-
-@dataclass(frozen=True)
-class FreeDecayResult:
-    zeta: float
-    nu: float
-    overdamped: bool = False
-    n_peaks: int = 0
-    decay_rate: float = math.nan  # exponential-fit fallback, 1/s
-
-
-def free_decay(a: np.ndarray, x0, dt: float, t_end: float) -> FreeDecayResult:
-    """Log-decrement damping estimate from the platform-pitch channel of
-    a free response.
-
-    Uses successive positive phi peaks (parabolic refinement); with
-    fewer than 3 peaks the motion is flagged overdamped and an
-    exponential fit of |phi| is reported instead.
-    """
-    n = int(round(t_end / dt)) + 1
-    states, _ = _recur(_expm(np.asarray(a) * dt), np.zeros((n - 1, 4)),
-                       np.asarray(x0, dtype=float))
-    phi = states[:, 2]
-    t = dt * np.arange(len(phi))
-
-    mid = phi[1:-1]
-    k = 1 + np.flatnonzero((mid > 0.0) & (mid >= phi[:-2]) & (mid > phi[2:]))
-    # parabolic vertex through the three samples; a flat top keeps the sample
-    lo, hi = phi[k - 1], phi[k + 1]
-    denom = lo - 2.0 * phi[k] + hi
-    flat = denom == 0.0
-    delta = np.where(flat, 0.0, 0.5 * (lo - hi) / np.where(flat, 1.0, denom))
-    peaks_t = t[k] + delta * dt
-    peaks_v = phi[k] - 0.25 * (lo - hi) * delta
-
-    if len(peaks_t) < 3:
-        mask = np.abs(phi) > 1e-300
-        rate = math.nan
-        if mask.sum() > 2:
-            slope = np.polyfit(t[mask], np.log(np.abs(phi[mask])), 1)[0]
-            rate = -slope
-        return FreeDecayResult(zeta=math.nan, nu=math.nan, overdamped=True,
-                               n_peaks=len(peaks_t), decay_rate=rate)
-
-    decs = np.log(peaks_v[:-1] / peaks_v[1:])
-    delta = float(np.mean(decs))
-    zeta = delta / math.sqrt(4.0 * math.pi ** 2 + delta ** 2)
-    nu_d = 2.0 * math.pi / float(np.mean(np.diff(peaks_t)))
-    nu = nu_d / math.sqrt(1.0 - zeta ** 2)
-    return FreeDecayResult(zeta=zeta, nu=nu, n_peaks=len(peaks_t))

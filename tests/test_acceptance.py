@@ -20,10 +20,12 @@ from fowtctl.gains import (PlatformTarget, RotorTarget, kbeta_zeta_fixed,
                            synthesize)
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
                            build_open_loop, close_loop)
-from fowtctl.sim import DisturbanceSpec, free_decay, simulate
+from fowtctl.sim import DisturbanceSpec, simulate
 from fowtctl.stability import (NmpzBoundaryWarning, modal_report,
                                nmpz_omega_condition, nmpz_phi_condition,
                                numerator_omega, numerator_phi)
+
+from decay import free_decay
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 TUNING = RotorTarget(zeta_rot=0.6, nu_rot=0.01)
@@ -41,10 +43,14 @@ def _verdict(label: str, ok: bool) -> bool:
     return ok
 
 
+def _loop(params, sens, gains):
+    return close_loop(build_open_loop(params, sens), gains)
+
+
 def _beta_step_response(params, sens, t_end=300.0, dt=0.02):
     """Open-loop unit blade-pitch step from rest (no feedback)."""
     specs = [DisturbanceSpec(kind="step-beta", amplitude=1.0)]
-    return simulate(params, sens, ControlGains(), specs,
+    return simulate(_loop(params, sens, ControlGains()), specs,
                     dt=dt, t_end=t_end, method="exact")
 
 
@@ -60,8 +66,7 @@ def test_nmpz_classification(params, sens_t1f, sens_t1t, sens_t2f,
     # a condition-blind aggressive tuning destabilizes the double-NMPZ
     # operating point
     gains = synthesize(params, sens_t3, RotorTarget(zeta_rot=0.7, nu_rot=0.2))
-    report = modal_report(close_loop(build_open_loop(params, sens_t3),
-                                     gains).closed)
+    report = modal_report(_loop(params, sens_t3, gains).closed)
     ok = ok and not report.stable
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
@@ -129,8 +134,7 @@ def test_damping_imposition(params, sens_t1f):
     for zeta in (0.05, 0.10, 0.25, 0.5):
         gains = synthesize(params, sens_t1f, TUNING, strategy="zeta-fixed",
                            zeta_plt=zeta)
-        mode = modal_report(close_loop(build_open_loop(params, sens_t1f),
-                                       gains).closed).mode_nearest(NU_PLT)
+        mode = modal_report(_loop(params, sens_t1f, gains).closed).mode_nearest(NU_PLT)
         ok = ok and abs(mode.zeta - zeta) / zeta < 0.15
     # the compensation gain never moves the reduced natural frequency
     from fowtctl.stability import platform_summary
@@ -148,10 +152,9 @@ def test_integrator_fidelity(params, sens_t1f):
     gains = synthesize(params, sens_t1f, TUNING, strategy="zeta-fixed",
                        zeta_plt=0.1)
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0)]
-    rk4 = simulate(params, sens_t1f, gains, specs, dt=0.01, t_end=100.0,
-                   method="rk4")
-    zoh = simulate(params, sens_t1f, gains, specs, dt=0.01, t_end=100.0,
-                   method="exact")
+    loop = _loop(params, sens_t1f, gains)
+    rk4 = simulate(loop, specs, dt=0.01, t_end=100.0, method="rk4")
+    zoh = simulate(loop, specs, dt=0.01, t_end=100.0, method="exact")
     err = max(np.max(np.abs(rk4.channels[n] - zoh.channels[n]))
               for n in ("theta", "omega", "phi", "phidot"))
     ok = err < 1e-8
@@ -163,8 +166,8 @@ def _forced_amplitude(params, sens, kbeta, tp, hw, t_end=900.0, dt=0.05):
     # the platform dynamics alone: without dfa_domega and the PI gains,
     # the rotor does not act on the platform-pitch row
     specs = [DisturbanceSpec(kind="mono-wave", amplitude=hw, period=tp)]
-    ts = simulate(params, replace(sens, dfa_domega=0.0),
-                  ControlGains(kbeta=kbeta), specs, dt=dt, t_end=t_end)
+    ts = simulate(_loop(params, replace(sens, dfa_domega=0.0),
+                        ControlGains(kbeta=kbeta)), specs, dt=dt, t_end=t_end)
     # project the post-transient tail onto the forcing harmonics
     tail = ts.window(t_end - 10.0 * tp)
     t = tail.time
@@ -196,7 +199,7 @@ def _strategy_run(params, sens, kbeta, tp, t_end=700.0):
     gains = ControlGains(kp=-0.359736733973185, ki=2.0742012684134593e-4,
                          kbeta=kbeta)
     specs = [DisturbanceSpec(kind="mono-wave", amplitude=1.5, period=tp)]
-    ts = simulate(params, sens, gains, specs, dt=0.05, t_end=t_end)
+    ts = simulate(_loop(params, sens, gains), specs, dt=0.05, t_end=t_end)
     tail = ts.window(t_end - 300.0)
     amp = float(np.std(tail.channels["phi"]))
     cycles = rainflow(tail.channels["tower_moment"], hysteresis_frac=1e-3)

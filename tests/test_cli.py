@@ -77,9 +77,11 @@ def test_tune_writes_importable_gains(tmp_path, capsys):
 
 
 def test_tune_header_names_zeta_plt_only_for_zeta_fixed(tmp_path):
-    for kind, want in (("zeta-fixed", "strategy=zeta-fixed zeta_plt=0.1\n"),
-                       ("reference", "strategy=reference\n")):
-        cfg = _cfg(tmp_path, BASE.replace("kind = zeta-fixed", f"kind = {kind}"))
+    # a zeta beside any other kind is refused
+    reference = BASE.replace("kind = zeta-fixed\nzeta = 0.10", "kind = reference")
+    for kind, text, want in (("zeta-fixed", BASE, "strategy=zeta-fixed zeta_plt=0.1\n"),
+                             ("reference", reference, "strategy=reference\n")):
+        cfg = _cfg(tmp_path, text)
         assert main(["tune", "--config", cfg, "--out", str(tmp_path / kind)]) == 0
         assert f"# {want}" in (tmp_path / kind / "gains.ini").read_text()
 
@@ -347,6 +349,7 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
     ("run", "seed", "4.5"),
     *[("rotor", k, "x") for k in ("zeta", "nu")],
     *[("strategy", k, "x") for k in ("zeta", "m_taug")],
+    *[("strategy", "zeta", v) for v in ("nan", "inf", "0", "-1")],
     *[("gains", k, "x") for k in ("kp", "ki", "kbeta", "ktaug")],
     *[("simulation", k, "abc") for k in ("dt", "duration", "transient")],
     *[("simulation", "transient", v) for v in ("nan", "inf", "-5")],
@@ -384,6 +387,28 @@ def test_malformed_number_is_reported_not_raised(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"'{key}'" in err and f"[{section}]" in err
+
+
+@pytest.mark.parametrize("kind,zeta,msg", [
+    pytest.param("reference", "0.25", "must be absent with kind = reference",
+                 id="reference"),
+    pytest.param("none", "0.1", "must be absent with kind = none", id="none"),
+    pytest.param("zeta-fixed", None, "must be finite and > 0 with kind = zeta-fixed",
+                 id="zeta-fixed-without-zeta"),
+])
+def test_strategy_zeta_follows_the_campaign_strategies_rule(tmp_path, capsys,
+                                                            kind, zeta, msg):
+    # [strategy] refuses the kind and zeta that a [campaign] strategies
+    # entry refuses; kind = reference with zeta = 0.25 used to run
+    entry = kind if zeta is None else f"{kind}:{zeta}"
+    strategy = f"[strategy]\nkind = {kind}\n" + (f"zeta = {zeta}\n" if zeta else "")
+    campaign = f"[campaign]\nwind_speeds = 12\nstrategies = {entry}\n"
+    for section, want in ((strategy, f"'zeta' in [strategy] {msg}"),
+                          (campaign, "'strategies' in [campaign]")):
+        cfg = _cfg(tmp_path, MINIMAL + "\n" + section)
+        assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and want in err, err
 
 
 _SIM_SHORT = MINIMAL + """
@@ -465,16 +490,20 @@ sens.22 = {}
     assert rows["custom"] == rows["table2-true"]
 
 
-def _counting(monkeypatch, name):
-    """Replace cli.<name> with a wrapper; returns the list of the
-    positional arguments of every call."""
+def _counting(monkeypatch, name, everywhere=False):
+    """Replace cli.<name> with a wrapper, and with `everywhere` every
+    other fowtctl module's binding of the same function too; returns the
+    list of the positional arguments of every call."""
     calls, fn = [], getattr(cli, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, wrapper)
+    modules = [m for key, m in sys.modules.items()
+               if key.split(".")[0] == "fowtctl" and getattr(m, name, None) is fn]
+    for module in modules if everywhere else [cli]:
+        monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -491,6 +520,19 @@ sens.12 = table1-true
     assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     # config order, one call per set
     assert [args[0] for args in calls] == ["table2-false", "table1-true"]
+    assert len(_read_rows(tmp_path / "o" / "campaign.csv")) == 1 + 6
+
+
+def test_campaign_closes_each_loop_once(tmp_path, monkeypatch):
+    # the loop simulate integrates is the one modal_report reads
+    calls = _counting(monkeypatch, "close_loop", everywhere=True)
+    cfg = _cfg(tmp_path, SIM + """
+[campaign]
+wind_speeds = 12, 16
+strategies = none, reference, zeta-fixed:0.25
+""")
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 6
     assert len(_read_rows(tmp_path / "o" / "campaign.csv")) == 1 + 6
 
 
@@ -632,6 +674,8 @@ def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):
     pytest.param("0,10\n300,12,1\n600,12\n",
                  "wrong number of values (3 for 2 columns) in data row 2",
                  id="ragged"),
+    pytest.param("0,10,99\n300,12,99\n600,11,99\n",
+                 "has 3 columns; it needs two (t, v)", id="three-column"),
 ])
 def test_bad_wind_file_ends_as_error(tmp_path, capsys, body, msg):
     wind = tmp_path / "wind.csv"
@@ -727,8 +771,9 @@ _FUZZ_SECTIONS = {
     "simulation": {"dt": ("0.05", "0.5"), "duration": ("2", "20"),
                    "method": ("rk4", "exact"), "transient": ("1",)},
     "rotor": {"zeta": ("0.6",), "nu": ("0.01",)},
+    # zeta only beside zeta-fixed is valid, so None leaves it out
     "strategy": {"kind": ("zeta-fixed", "reference", "none"),
-                 "zeta": ("0.1",), "m_taug": ("0.5",)},
+                 "zeta": ("0.1", None), "m_taug": ("0.5",)},
     "gains": {"kp": ("-0.36",), "ki": ("2e-4",), "kbeta": ("2.1",),
               "ktaug": ("1e6",)},
     "run": {"seed": ("42",)},
@@ -759,7 +804,8 @@ def _fuzz_config(draw):
                                   for key in keys]))
     for section, key in slots[:draw(st.integers(0, 2))]:
         sections[section][key] = draw(st.sampled_from(_BAD))
-    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()
+                                               if v is not None)
                    for section, keys in sections.items())
 
 
@@ -850,10 +896,10 @@ assert "difflib" not in sys.modules
 
 @pytest.mark.parametrize("block", [False, True], ids=["importable", "blocked"])
 def test_no_command_loads_scipy(tmp_path, block):
-    """`import fowtctl.cli`, all six commands with method = exact, an rk4
-    simulation and free_decay leave scipy, numpy.polynomial and
-    numpy.random unloaded; with scipy made unimportable they all still
-    run.  The simulations and the campaign draw JONSWAP waves."""
+    """`import fowtctl.cli`, all six commands with method = exact and an
+    rk4 simulation leave scipy, numpy.polynomial and numpy.random
+    unloaded; with scipy made unimportable they all still run.  The
+    simulations and the campaign draw JONSWAP waves."""
     rk4 = _cfg(tmp_path, SIM, name="rk4.ini")
     exact = _cfg(tmp_path, SIM.replace("duration = 60",
                                        "duration = 60\nmethod = exact")
@@ -867,7 +913,6 @@ if {block!r}:
     sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import fowtctl
 from fowtctl.cli import main
-from fowtctl.sim import free_decay
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
@@ -880,9 +925,7 @@ for command in ("tune", "analyze", "simulate", "bode", "campaign"):
     assert main([command, "--config", {exact!r}, "--out", {out!r}]) == 0
     assert not loaded(), (command, loaded())
 assert main({["fatigue", "--config", exact, "--out", out, series]!r}) == 0
-a = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, -0.05, -0.01]]
-assert 0.0 < free_decay(a, [0, 0, 0.1, 0], 0.1, 600.0).zeta < 0.1
-assert not loaded(), ("fatigue, free_decay", loaded())
+assert not loaded(), ("fatigue", loaded())
 """)
 
 

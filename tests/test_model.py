@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fowtctl.errors import ParameterError
-from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
-                           build_open_loop, close_loop)
+from fowtctl.model import (CHANNELS, AeroSensitivities, ControlGains,
+                           StructuralParams, build_open_loop, close_loop)
 
 
 def test_open_loop_matrix_entries(params, sens_t1f):
@@ -42,6 +42,44 @@ def test_close_loop_is_a0_plus_bc_k0(params, sens_t1f):
                                rtol=0, atol=0)
 
 
+def test_open_loop_output_rows(params, sens_t1f):
+    # y = C0 x + D u for the channels past the state, u = (beta_ol,
+    # tau_g_ol, v, w): the pitch, the inputs, v - ht*phidot and the
+    # tower-base moment ht*F_a + kt*phi
+    ss = build_open_loop(params, sens_t1f)
+    ht, s = params.ht, sens_t1f
+    assert list(CHANNELS)[4:] == ["beta", "v", "w", "v_rel", "tower_moment"]
+    np.testing.assert_array_equal(ss.c0, [
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -ht],
+        [0.0, ht * s.dfa_domega, params.kt, -ht ** 2 * s.dfa_dv],
+    ])
+    np.testing.assert_array_equal(ss.d, [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [ht * s.dfa_dbeta, 0.0, ht * s.dfa_dv, 0.0],
+    ])
+    assert ss.c is None
+
+
+def test_close_loop_folds_k0_into_a_and_c(params, sens_t1f):
+    # the pitch law enters the outputs through the control columns of D
+    # as it enters the dynamics through Bc; D itself is unchanged
+    ss = build_open_loop(params, sens_t1f)
+    gains = ControlGains(kp=-0.3, ki=2e-4, kbeta=1.5, ktaug=-1e8)
+    closed = close_loop(ss, gains)
+    np.testing.assert_array_equal(closed.c, ss.c0 + ss.d[:, :2] @ gains.k0())
+    np.testing.assert_array_equal(closed.c[0], [gains.ki, gains.kp, 0.0, gains.kbeta])
+    np.testing.assert_array_equal(closed.d, ss.d)
+    np.testing.assert_array_equal(closed.closed, ss.a0 + ss.bc @ gains.k0())
+    zero = close_loop(ss, ControlGains())
+    np.testing.assert_array_equal(zero.c, ss.c0)
+
+
 def test_zero_gains_leave_dynamics_unchanged(params, sens_t1f):
     ss = build_open_loop(params, sens_t1f)
     closed = close_loop(ss, ControlGains())
@@ -60,6 +98,9 @@ def test_matrices_are_read_only(params, sens_t1f):
         ss.closed[0, 0] = 1.0
     with pytest.raises(ValueError):
         ss.a0[0, 0] = 1.0
+    for arr in (ss.c0, ss.d, ss.c):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_b_full_stacks_control_then_disturbance(params, sens_t1f):

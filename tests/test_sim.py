@@ -18,8 +18,10 @@ from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import ControlGains, build_open_loop, close_loop
 from fowtctl.sim import (_BLOCK, _POWER_LIMIT, _ROW_BLOCK, DisturbanceSpec,
                          TimeSeries, _expm, _jonswap_amplitudes, _powers, _recur,
-                         _smooth_length, build_inputs, csv_cell, free_decay,
-                         jonswap_spectrum, jonswap_wave, simulate, write_csv)
+                         _smooth_length, build_inputs, csv_cell, jonswap_spectrum,
+                         jonswap_wave, simulate, write_csv)
+
+from decay import free_decay
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 
@@ -28,7 +30,7 @@ NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 def closed_t1f(params, sens_t1f):
     gains = synthesize(params, sens_t1f, RotorTarget(0.6, 0.01),
                        strategy="zeta-fixed", zeta_plt=0.1)
-    return close_loop(build_open_loop(params, sens_t1f), gains), gains
+    return close_loop(build_open_loop(params, sens_t1f), gains)
 
 
 # --- TimeSeries --------------------------------------------------------
@@ -287,17 +289,17 @@ def test_wind_file_input(tmp_path):
 
 # --- simulate ----------------------------------------------------------
 
-def test_simulate_zero_input_stays_zero(closed_t1f, params, sens_t1f):
-    _, gains = closed_t1f
-    ts = simulate(params, sens_t1f, gains, [], dt=0.05, t_end=5.0)
+def test_simulate_zero_input_stays_zero(closed_t1f):
+    ss = closed_t1f
+    ts = simulate(ss, [], dt=0.05, t_end=5.0)
     for name in ("theta", "omega", "phi", "phidot", "beta", "tower_moment"):
         np.testing.assert_array_equal(ts.channels[name], 0.0)
 
 
-def test_simulate_step_reaches_linear_steady_state(closed_t1f, params, sens_t1f):
-    ss, gains = closed_t1f
+def test_simulate_step_reaches_linear_steady_state(closed_t1f):
+    ss = closed_t1f
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0)]
-    ts = simulate(params, sens_t1f, gains, specs, dt=0.05, t_end=2000.0)
+    ts = simulate(ss, specs, dt=0.05, t_end=2000.0)
     b = ss.b_full()
     x_ss = np.linalg.solve(ss.closed, -b @ np.array([0.0, 0.0, 1.0, 0.0]))
     # the slow rotor mode (nu = 0.01 rad/s) dominates the residual
@@ -305,14 +307,12 @@ def test_simulate_step_reaches_linear_steady_state(closed_t1f, params, sens_t1f)
     assert ts.channels["phi"][-1] == pytest.approx(x_ss[2], rel=1e-4)
 
 
-def test_rk4_matches_exact_discretization(closed_t1f, params, sens_t1f):
-    _, gains = closed_t1f
+def test_rk4_matches_exact_discretization(closed_t1f):
+    ss = closed_t1f
     # constant input from t = 0 so the zero-order hold is exact for both
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0)]
-    a = simulate(params, sens_t1f, gains, specs, dt=0.01, t_end=50.0,
-                 method="rk4")
-    b = simulate(params, sens_t1f, gains, specs, dt=0.01, t_end=50.0,
-                 method="exact")
+    a = simulate(ss, specs, dt=0.01, t_end=50.0, method="rk4")
+    b = simulate(ss, specs, dt=0.01, t_end=50.0, method="exact")
     for name in ("theta", "omega", "phi", "phidot"):
         assert np.max(np.abs(a.channels[name] - b.channels[name])) < 1e-8
 
@@ -353,8 +353,8 @@ def _assert_states_match(ts, ref):
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])
-def test_one_step_map_matches_per_step_loop(closed_t1f, params, sens_t1f, method):
-    ss, gains = closed_t1f
+def test_one_step_map_matches_per_step_loop(closed_t1f, method):
+    ss = closed_t1f
     dt, t_end = 0.05, 600.0
     # wind-step onset on a point where t[k-1] + dt and t[k] differ by an
     # ulp: the last RK4 stage of step k must see the former
@@ -365,8 +365,7 @@ def test_one_step_map_matches_per_step_loop(closed_t1f, params, sens_t1f, method
              DisturbanceSpec(kind="step-beta", amplitude=0.01, onset=30.0),
              DisturbanceSpec(kind="step-wind", amplitude=1.0,
                              onset=max(t[k - 1] + dt, t[k]))]
-    ts = simulate(params, sens_t1f, gains, specs, dt=dt, t_end=t_end,
-                  method=method)
+    ts = simulate(ss, specs, dt=dt, t_end=t_end, method=method)
     _assert_states_match(ts, _reference_states(ss, specs, dt, t_end, method))
 
 
@@ -377,8 +376,7 @@ def test_divergence_matches_per_step_check(params, sens_t1f, method):
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0, onset=1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ts = simulate(params, sens_t1f, gains, specs, dt=0.05,
-                      t_end=600.0, method=method)
+        ts = simulate(ss, specs, dt=0.05, t_end=600.0, method=method)
     assert ts.meta["diverged_at"] == 18.05
     assert len(ts) == 362
     _assert_states_match(ts, _reference_states(ss, specs, 0.05, 18.05, method))
@@ -458,17 +456,16 @@ def test_powers_match_the_per_power_loop():
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact"])
-def test_simulate_memory_per_step(closed_t1f, params, sens_t1f, method):
+def test_simulate_memory_per_step(closed_t1f, method):
     # the forcing, the scan's work array and the states are never all
     # held at once, and the returned channels keep no sampled input rows
-    _, gains = closed_t1f
+    ss = closed_t1f
     specs = [DisturbanceSpec(kind="jonswap-wave", hs=1.5, period=11.0,
                              gamma=3.3, seed=1),
              DisturbanceSpec(kind="step-wind", amplitude=1.0, onset=100.0)]
 
     def run():
-        return simulate(params, sens_t1f, gains, specs, dt=0.05,
-                        t_end=600.0, method=method)
+        return simulate(ss, specs, dt=0.05, t_end=600.0, method=method)
 
     run()  # warm-up: first-call caches are not the function's memory
     tracemalloc.start()
@@ -485,7 +482,8 @@ def test_simulate_memory_per_step(closed_t1f, params, sens_t1f, method):
 def test_simulate_divergence_truncates_and_flags(params, sens_t1f):
     # a PI gain of the wrong sign: the rotor mode grows at about 0.8 1/s
     for method in ("rk4", "exact"):
-        ts = simulate(params, sens_t1f, ControlGains(kp=-2.0),
+        ts = simulate(close_loop(build_open_loop(params, sens_t1f),
+                                 ControlGains(kp=-2.0)),
                       [DisturbanceSpec(kind="step-wind", amplitude=1.0)],
                       dt=0.05, t_end=100.0, method=method)
         assert "diverged_at" in ts.meta
@@ -497,15 +495,16 @@ def test_simulate_divergence_truncates_and_flags(params, sens_t1f):
 
 def test_overflowed_state_leaves_the_outputs_it_does_not_enter(params, sens_t1f):
     # the exact one-step map of this loop overflows, so the first state is
-    # nan; a zero weight of the output map adds nothing, where 0 * nan
+    # nan; a zero weight of C or D adds nothing, where 0 * nan
     # would turn the inputs and the pitch of zero PI and platform gains
     # into nan too
     specs = [DisturbanceSpec(kind="step-beta", amplitude=0.01),
              DisturbanceSpec(kind="step-wind", amplitude=1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ts = simulate(params, sens_t1f, ControlGains(ktaug=1e40), specs,
-                      dt=0.05, t_end=10.0, method="exact")
+        ts = simulate(close_loop(build_open_loop(params, sens_t1f),
+                                 ControlGains(ktaug=1e40)),
+                      specs, dt=0.05, t_end=10.0, method="exact")
     assert ts.meta["diverged_at"] == 0.05 and len(ts) == 2
     last = {name: values[-1] for name, values in ts.channels.items()}
     assert (last["beta"], last["v"], last["w"]) == (0.01, 1.0, 0.0)
@@ -513,19 +512,18 @@ def test_overflowed_state_leaves_the_outputs_it_does_not_enter(params, sens_t1f)
         assert math.isnan(last[name]), name
 
 
-def test_simulate_method_validation(closed_t1f, params, sens_t1f):
-    _, gains = closed_t1f
+def test_simulate_method_validation(closed_t1f):
+    ss = closed_t1f
     with pytest.raises(ParameterError):
-        simulate(params, sens_t1f, gains, [], dt=0.05, t_end=1.0,
-                 method="euler")
+        simulate(ss, [], dt=0.05, t_end=1.0, method="euler")
     with pytest.raises(ParameterError):
-        simulate(params, sens_t1f, gains, [], dt=-0.1, t_end=1.0)
+        simulate(ss, [], dt=-0.1, t_end=1.0)
 
 
 def test_tower_moment_definition(closed_t1f, params, sens_t1f):
-    _, gains = closed_t1f
+    ss = closed_t1f
     specs = [DisturbanceSpec(kind="step-wind", amplitude=1.0)]
-    ts = simulate(params, sens_t1f, gains, specs, dt=0.05, t_end=10.0)
+    ts = simulate(ss, specs, dt=0.05, t_end=10.0)
     c = ts.channels
     expected = (params.ht * (sens_t1f.dfa_dv * c["v_rel"]
                              + sens_t1f.dfa_domega * c["omega"]
@@ -535,8 +533,8 @@ def test_tower_moment_definition(closed_t1f, params, sens_t1f):
 
 
 def test_tower_moment_is_the_platform_row_of_the_dynamics(params):
-    """On every packaged set under every strategy, the output map's tower
-    moment is the thrust moment the platform-pitch row of A x + B u
+    """On every packaged set under every strategy, the tower moment of
+    the closed loop's C and D is the thrust moment the platform-pitch row of A x + B u
     carries: jt phi'' + dt phidot + kt phi - dtw_dw w = ht F_a - kt phi."""
     sets = sorted(p.stem for p in (_data_dir() / "sensitivities").glob("*.ini"))
     assert len(sets) == 5
@@ -552,7 +550,7 @@ def test_tower_moment_is_the_platform_row_of_the_dynamics(params):
             gains = synthesize(params, sens, RotorTarget(0.6, 0.01),
                                strategy=kind, zeta_plt=zeta)
             ss = close_loop(build_open_loop(params, sens), gains)
-            ts = simulate(params, sens, gains, specs, dt=dt, t_end=t_end)
+            ts = simulate(ss, specs, dt=dt, t_end=t_end)
             c = ts.channels
             x = np.column_stack([c[n] for n in ("theta", "omega", "phi", "phidot")])
             u = build_inputs(specs, dt, t_end)(ts.time)
