@@ -26,17 +26,17 @@ if not any(_v in _os.environ for _v in
 from .errors import ConfigError, FowtctlError, GainSingularityError, ParameterError
 from .fatigue import (Cycle, Cycles, WohlerCurve, damage_equivalent_load,
                       miner_damage, rainflow, turning_points)
-from .freq import FrequencyResponse, bode_gplt, bode_grot, damped_band, default_grid
 from .gains import (PlatformTarget, RotorTarget, kbeta_reference,
                     kbeta_zeta_fixed, ktaug, synthesize, tune_pi)
 from .model import (AeroSensitivities, ControlGains, StateSpace,
                     StructuralParams, build_open_loop, close_loop)
 from .sim import (DisturbanceSpec, TimeSeries, jonswap_spectrum, jonswap_wave,
                   simulate)
-from .stability import (Mode, ModalReport, ModeSummary, NmpzBoundaryWarning,
-                        modal_report, nmpz_omega_condition, nmpz_phi_condition,
-                        numerator_omega, numerator_phi, platform_summary,
-                        rotor_summary)
+from .stability import (FrequencyResponse, Mode, ModalReport, ModeSummary,
+                        NmpzBoundaryWarning, bode_gplt, bode_grot, damped_band,
+                        default_grid, modal_report, nmpz_omega_condition,
+                        nmpz_phi_condition, numerator_omega, numerator_phi,
+                        platform_summary, rotor_summary)
 
 __version__ = "1.0.0"
 

@@ -23,12 +23,12 @@ from .config import (FatigueSettings, RunConfig, export_gains, load_run_config,
 from .errors import FowtctlError
 from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
                       rainflow)
-from .freq import bode_gplt, bode_grot, damped_band, default_grid
 from .gains import RotorTarget, synthesize
 from .model import (CHANNELS, AeroSensitivities, ControlGains, build_open_loop,
                     close_loop)
 from .sim import TimeSeries, csv_cell, simulate, write_csv, write_header
-from .stability import (modal_report, nmpz_omega_condition, nmpz_phi_condition,
+from .stability import (bode_gplt, bode_grot, damped_band, default_grid,
+                        modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
                         rotor_summary)
 

@@ -1,15 +1,17 @@
-"""Zero/pole analysis of the closed loop.
+"""Zero/pole analysis of the closed loop and the reduced forms.
 
 Non-minimum-phase-zero (NMPZ) conditions for the blade-pitch channels,
 the numerator polynomials they derive from, an eigen summary with
-per-mode damping, and the closed-form second-order summaries of the
-reduced rotor and platform dynamics.
+per-mode damping, and the reduced rotor (band-pass) and platform
+(low-pass) second-order forms: their closed-form (nu, zeta) summaries
+and the frequency responses the Bode sweep emits.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,12 +172,100 @@ def rotor_summary(params: StructuralParams, sens: AeroSensitivities,
     return ModeSummary(nu=nu, zeta=zeta)
 
 
+def _nu_plt(params: StructuralParams) -> float:
+    """Natural frequency of the reduced platform form, sqrt(kt/jt), rad/s."""
+    return math.sqrt(params.kt / params.jt)
+
+
 def platform_summary(params: StructuralParams, sens: AeroSensitivities,
                      kbeta: float) -> ModeSummary:
     """Low-pass parameters of the reduced platform dynamics.  nu_plt
     depends only on kt and jt, never on the compensation gain."""
-    nu = math.sqrt(params.kt / params.jt)
+    nu = _nu_plt(params)
     zeta = (params.dt + params.ht ** 2 * sens.dfa_dv
             - kbeta * params.ht * sens.dfa_dbeta) \
         / (2.0 * math.sqrt(params.kt * params.jt))
     return ModeSummary(nu=nu, zeta=zeta)
+
+
+@dataclass(frozen=True)
+class FrequencyResponse:
+    """Magnitude/phase samples over a strictly increasing grid.
+    Magnitude is linear and phase is in radians inside the library; the
+    CLI converts to dB/degrees on output."""
+
+    nu_grid: np.ndarray   # rad/s
+    magnitude: np.ndarray
+    phase: np.ndarray     # rad
+    label: str
+
+    def __post_init__(self):
+        if np.any(np.diff(self.nu_grid) <= 0.0):
+            raise ParameterError("frequency grid must be strictly increasing")
+        if not np.all(np.isfinite(self.magnitude)):
+            raise ParameterError("magnitude not finite on grid (pole on grid?)")
+
+
+@contextmanager
+def _overflow_is_an_error(label: str):
+    """Raise a numpy overflow, or the inf - inf or 0 * inf it leads to,
+    inside the block as a ParameterError that names it.  A pole on the
+    grid divides by zero instead, which FrequencyResponse reports."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ParameterError(f"{label} response overflows double precision "
+                             f"on the frequency grid ({exc})") from exc
+
+
+def default_grid(params: StructuralParams) -> np.ndarray:
+    """400 log-spaced points spanning [nu_plt/100, 100*nu_plt]."""
+    nu_plt = _nu_plt(params)
+    return np.logspace(math.log10(nu_plt / 100.0), math.log10(100.0 * nu_plt), 400)
+
+
+def bode_gplt(params: StructuralParams, sens: AeroSensitivities, kbeta: float,
+              nu_grid: np.ndarray, input_channel: str = "wave") -> FrequencyResponse:
+    """Closed-form second-order low-pass of the reduced platform
+    dynamics, from wind ("wind") or wave ("wave") forcing to phi."""
+    summ = platform_summary(params, sens, kbeta)
+    if input_channel == "wave":
+        dc = sens.dtw_dw / params.kt
+        label = "phi<-w"
+    elif input_channel == "wind":
+        dc = params.ht * sens.dfa_dv / params.kt
+        label = "phi<-v"
+    else:
+        raise ParameterError(f"unknown input channel {input_channel!r}")
+    nu = np.asarray(nu_grid, dtype=float)
+    with _overflow_is_an_error(label):
+        h = dc / (1.0 - (nu / summ.nu) ** 2 + 2j * summ.zeta * nu / summ.nu)
+        magnitude = np.abs(h)
+    return FrequencyResponse(nu_grid=nu, magnitude=magnitude,
+                             phase=np.unwrap(np.angle(h)), label=label)
+
+
+def bode_grot(params: StructuralParams, sens: AeroSensitivities, kp: float,
+              ki: float, nu_grid: np.ndarray) -> FrequencyResponse:
+    """Response of the reduced rotor loop, wind to omega, always from
+    its rational form g dta_dv s / (s^2 - g dta_domega s - g dta_dbeta
+    (kp s + ki)), g = ng/jr, whether or not the gains have a band-pass
+    parameterisation (nu_rot, zeta_rot)."""
+    nu = np.asarray(nu_grid, dtype=float)
+    g = params.ng / params.jr
+    s = 1j * nu
+    with _overflow_is_an_error("omega<-v"):
+        denom = s ** 2 - g * sens.dta_domega * s - g * sens.dta_dbeta * (kp * s + ki)
+        h = g * sens.dta_dv * s / denom
+        magnitude = np.abs(h)
+    return FrequencyResponse(nu_grid=nu, magnitude=magnitude,
+                             phase=np.unwrap(np.angle(h)), label="omega<-v")
+
+
+def damped_band(params: StructuralParams) -> tuple[float, float]:
+    """Angular-frequency interval around nu_plt where imposing extra
+    platform damping visibly reduces the response:
+    (nu_plt/sqrt(2), sqrt(2)*nu_plt)."""
+    nu_plt = _nu_plt(params)
+    return nu_plt / math.sqrt(2.0), math.sqrt(2.0) * nu_plt

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fowtctl.errors import ParameterError
-from fowtctl.freq import (FrequencyResponse, bode_gplt, bode_grot,
-                          damped_band, default_grid)
 from fowtctl.gains import RotorTarget, synthesize
-from fowtctl.stability import rotor_summary
+from fowtctl.stability import (FrequencyResponse, bode_gplt, bode_grot,
+                               damped_band, default_grid, rotor_summary)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 
