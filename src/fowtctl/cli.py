@@ -69,7 +69,8 @@ def cmd_tune(cfg: RunConfig, out: Path) -> int:
     rot = rotor_summary(cfg.params, cfg.sens, gains.kp, gains.ki)
     plt = platform_summary(cfg.params, cfg.sens, gains.kbeta)
     lines = _header(cfg) + [
-        f"strategy={cfg.strategy}"
+        "gains=[gains]" if cfg.gains_override is not None
+        else f"strategy={cfg.strategy}"
         + (f" zeta_plt={cfg.zeta_plt}" if cfg.strategy == "zeta-fixed" else ""),
         f"rotor: nu={rot.nu!r} rad/s zeta={rot.zeta!r} degenerate={rot.degenerate}",
         f"platform: nu={plt.nu!r} rad/s zeta={plt.zeta!r}",
@@ -175,14 +176,15 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
     ts = TimeSeries.from_csv(series_file, channel=channel)
     cycles, del_value, damage = _evaluate_fatigue(ts.channels[channel], cfg.fatigue)
     n_cycles = float(np.sum(cycles.count))
+    unit = ts.units[channel] or "-"
     write_csv(out / "cycles.csv", _header(cfg),
-              ["range [N*m]", "mean [N*m]", "count [-]"], "%.12g,%.12g,%g",
+              [f"range [{unit}]", f"mean [{unit}]", "count [-]"], "%.12g,%.12g,%g",
               [cycles.range, cycles.mean, cycles.count])
     write_csv(out / "fatigue_summary.csv", _header(cfg), ["quantity", "value"],
               "%s,%s",
               [("channel", csv_cell(channel)),
                ("n_cycles", f"{n_cycles:g}"),
-               (f"del_m{cfg.fatigue.m1:g} [N*m]", f"{del_value:.12g}"),
+               (f"del_m{cfg.fatigue.m1:g} [{unit}]", f"{del_value:.12g}"),
                ("damage [-]", f"{damage:.12g}")])
     print(f"{channel}: {n_cycles:g} cycles, "
           f"DEL={del_value:.6g}, damage={damage:.6g}")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import AeroSensitivities, ControlGains, StructuralParams
-from .sim import DisturbanceSpec, write_header
+from .sim import DISTURBANCE_FIELDS, DisturbanceSpec, write_header
 
 
 def _data_dir() -> Path:
@@ -309,7 +309,14 @@ def load_run_config(path, search_dir=None, seed=None) -> RunConfig:
         spec = vals[name]
         if "kind" not in spec:
             raise ConfigError(f"missing key 'kind' in [{name}]")
-        if spec["kind"] == "jonswap-wave":
+        kind = spec["kind"]
+        # a key its kind does not read would be ignored; an unknown kind
+        # passes here, and DisturbanceSpec refuses it
+        read = DISTURBANCE_FIELDS.get(kind, tuple(spec))
+        for key, value in spec.items():
+            _require(key == "kind" or key in read, key, f"[{name}]", value,
+                     f"absent with kind = {kind}")
+        if kind == "jonswap-wave":
             if cfg.seed is None:
                 raise ConfigError(f"[{name}] is stochastic: [run] seed is mandatory")
             spec.setdefault("seed", cfg.seed)

@@ -24,7 +24,14 @@ from numpy.fft import irfft, rfftfreq
 from .errors import ParameterError
 from .model import CHANNELS, StateSpace
 
-DISTURBANCE_KINDS = ("step-beta", "step-wind", "mono-wave", "jonswap-wave", "wind-file")
+# disturbance kind -> the DisturbanceSpec fields build_inputs reads for it
+DISTURBANCE_FIELDS = {
+    "step-beta": ("amplitude", "onset"),
+    "step-wind": ("amplitude", "onset"),
+    "mono-wave": ("amplitude", "period"),
+    "jonswap-wave": ("hs", "period", "gamma", "seed"),
+    "wind-file": ("path",),
+}
 
 
 @dataclass
@@ -222,7 +229,7 @@ class DisturbanceSpec:
     path: str | None = None  # two-column CSV (t, v) for wind-file
 
     def __post_init__(self):
-        if self.kind not in DISTURBANCE_KINDS:
+        if self.kind not in DISTURBANCE_FIELDS:
             raise ParameterError(f"unknown disturbance kind {self.kind!r}")
         if self.kind in ("mono-wave", "jonswap-wave") and self.period <= 0.0:
             raise ParameterError(f"{self.kind} requires period > 0")

@@ -77,10 +77,13 @@ def test_tune_writes_importable_gains(tmp_path, capsys):
 
 
 def test_tune_header_names_zeta_plt_only_for_zeta_fixed(tmp_path):
-    # a zeta beside any other kind is refused
+    # a zeta beside any other kind is refused; [gains] replaces the
+    # synthesis, so the header names no strategy beside it
     reference = BASE.replace("kind = zeta-fixed\nzeta = 0.10", "kind = reference")
+    override = BASE.replace("zeta = 0.10", "zeta = 0.25") + "\n[gains]\nkbeta = 0\n"
     for kind, text, want in (("zeta-fixed", BASE, "strategy=zeta-fixed zeta_plt=0.1\n"),
-                             ("reference", reference, "strategy=reference\n")):
+                             ("reference", reference, "strategy=reference\n"),
+                             ("override", override, "gains=[gains]\n")):
         cfg = _cfg(tmp_path, text)
         assert main(["tune", "--config", cfg, "--out", str(tmp_path / kind)]) == 0
         assert f"# {want}" in (tmp_path / kind / "gains.ini").read_text()
@@ -452,6 +455,15 @@ duration = 5
                  "amplitude = 1\n", [], id="disturbance-without-dot"),
     pytest.param(MINIMAL.replace("umaine-iea15", "extra"),
                  ["--params-dir", "{params}"], id="extra-section-in-set"),
+    # a key the disturbance kind does not read: each of these ran a zero
+    # or unchanged input and exited 0
+    pytest.param(_SIM_SHORT + "\n[disturbance.sea]\nkind = mono-wave\n"
+                 "amplitude = 1\nperiod = 11\nhs = 1.5\n", [], id="mono-wave-hs"),
+    pytest.param(_SIM_SHORT + "\n[run]\nseed = 7\n[disturbance.sea]\n"
+                 "kind = jonswap-wave\namplitude = 2\nperiod = 11\n", [],
+                 id="jonswap-wave-amplitude"),
+    pytest.param(_SIM_SHORT + "\n[disturbance.d]\nkind = step-wind\n"
+                 "amplitude = 1\nperiod = 11\n", [], id="step-wind-period"),
 ])
 def test_malformed_input_ends_as_error(tmp_path, capsys, text, extra):
     broken = tmp_path / "params" / "structure" / "broken.ini"
@@ -641,6 +653,21 @@ def test_fatigue_series_comments_blank_lines_and_crlf(tmp_path, text):
     # the turning points 1, -2, 3, -1.5 give three half cycles
     assert outs["plain"].endswith(b"count [-]\r\n3,-0.5,0.5\r\n5,0.5,0.5\r\n"
                                   b"4.5,0.75,0.5\r\n")
+
+
+@pytest.mark.parametrize("column,unit", [("phi [rad]", "rad"), ("phi", "-")])
+def test_fatigue_outputs_carry_the_unit_of_the_series_header(tmp_path, column,
+                                                            unit):
+    # they used to read N*m whatever the channel
+    series = tmp_path / "series.csv"
+    series.write_text(f"t [s],{column}\n0.0,0.1\n0.1,-0.2\n0.2,0.3\n")
+    cfg = _cfg(tmp_path, BASE)
+    assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
+                 str(series), "--channel", "phi"]) == 0
+    cyc = _read_rows(tmp_path / "o" / "cycles.csv")
+    assert cyc[0] == [f"range [{unit}]", f"mean [{unit}]", "count [-]"]
+    summary = [r[0] for r in _read_rows(tmp_path / "o" / "fatigue_summary.csv")]
+    assert f"del_m3 [{unit}]" in summary
 
 
 def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):

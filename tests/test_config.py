@@ -7,6 +7,7 @@ from fowtctl.config import (_TABLE, export_gains, load_run_config,
                             load_sensitivities, load_structure)
 from fowtctl.errors import ConfigError
 from fowtctl.model import ControlGains
+from fowtctl.sim import DISTURBANCE_FIELDS
 
 BASE = """
 [structure]
@@ -148,6 +149,27 @@ onset = 100
     assert kinds == ["jonswap-wave", "step-wind"]
     wave = next(d for d in cfg.disturbances if d.kind == "jonswap-wave")
     assert wave.seed == 9  # inherited from [run]
+
+
+# a valid value of each [disturbance.*] key
+_DISTURBANCE_VALUES = {"amplitude": "1", "onset": "5", "period": "11",
+                       "hs": "1.5", "gamma": "2", "seed": "3", "path": "wind.csv"}
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind, key) for kind, read in DISTURBANCE_FIELDS.items()
+    for key in _DISTURBANCE_VALUES if key not in read])
+def test_disturbance_key_its_kind_does_not_read_is_refused(tmp_path, kind, key):
+    # every key the kind reads, then one it does not: that one used to be
+    # ignored, so mono-wave with hs ran a zero sea
+    def config(keys):
+        return (BASE + f"[run]\nseed = 9\n[disturbance.d]\nkind = {kind}\n"
+                + "".join(f"{k} = {_DISTURBANCE_VALUES[k]}\n" for k in keys))
+
+    load_run_config(_write(tmp_path, config(DISTURBANCE_FIELDS[kind])))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"'{key}' in [disturbance.d] must be absent with kind = {kind} (got ")):
+        load_run_config(_write(tmp_path, config([*DISTURBANCE_FIELDS[kind], key])))
 
 
 def test_stochastic_without_seed_rejected(tmp_path):
