@@ -158,13 +158,17 @@ def cmd_bode(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _evaluate_fatigue(signal, fs: FatigueSettings):
+def _evaluate_fatigue(signal, fs: FatigueSettings, moment: bool = True):
     """Rainflow cycles, damage-equivalent load and Miner damage of one
-    load history under the [fatigue] settings."""
+    load history under the [fatigue] settings.  The S-N curve reads each
+    range over the section modulus as a stress, so the damage is None
+    unless the history is a bending moment."""
     cycles = rainflow(signal, hysteresis_frac=fs.hysteresis_frac)
+    del_value = damage_equivalent_load(cycles, fs.m1, fs.n_ref)
+    if not moment:
+        return cycles, del_value, None
     curve = WohlerCurve(kind=fs.curve_kind, m1=fs.m1, m2=fs.m2,
                         knee=fs.knee, stress_knee=fs.stress_knee)
-    del_value = damage_equivalent_load(cycles, fs.m1, fs.n_ref)
     damage = miner_damage(cycles, curve, fs.section_modulus, fs.lifetime_scale)
     return cycles, del_value, damage
 
@@ -174,20 +178,23 @@ def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
     # only the analysed channel is kept, so a wide series file is not
     # held twice while its channels are copied out of the parsed table
     ts = TimeSeries.from_csv(series_file, channel=channel)
-    cycles, del_value, damage = _evaluate_fatigue(ts.channels[channel], cfg.fatigue)
-    n_cycles = float(np.sum(cycles.count))
     unit = ts.units[channel] or "-"
+    cycles, del_value, damage = _evaluate_fatigue(
+        ts.channels[channel], cfg.fatigue, moment=unit == CHANNELS["tower_moment"])
+    n_cycles = float(np.sum(cycles.count))
     write_csv(out / "cycles.csv", _header(cfg),
-              [f"range [{unit}]", f"mean [{unit}]", "count [-]"], "%.12g,%.12g,%g",
-              [cycles.range, cycles.mean, cycles.count])
+              [csv_cell(f"range [{unit}]"), csv_cell(f"mean [{unit}]"), "count [-]"],
+              "%.12g,%.12g,%g", [cycles.range, cycles.mean, cycles.count])
+    rows = [("channel", csv_cell(channel)),
+            ("n_cycles", f"{n_cycles:g}"),
+            (csv_cell(f"del_m{cfg.fatigue.m1:g} [{unit}]"), f"{del_value:.12g}")]
+    summary = f"{channel}: {n_cycles:g} cycles, DEL={del_value:.6g}"
+    if damage is not None:
+        rows.append(("damage [-]", f"{damage:.12g}"))
+        summary += f", damage={damage:.6g}"
     write_csv(out / "fatigue_summary.csv", _header(cfg), ["quantity", "value"],
-              "%s,%s",
-              [("channel", csv_cell(channel)),
-               ("n_cycles", f"{n_cycles:g}"),
-               (f"del_m{cfg.fatigue.m1:g} [{unit}]", f"{del_value:.12g}"),
-               ("damage [-]", f"{damage:.12g}")])
-    print(f"{channel}: {n_cycles:g} cycles, "
-          f"DEL={del_value:.6g}, damage={damage:.6g}")
+              "%s,%s", rows)
+    print(summary)
     return 0
 
 

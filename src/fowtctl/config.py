@@ -12,11 +12,21 @@ fixtures can mirror published kN-based tables verbatim.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+
+# the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before), as
+# random takes its sha512: hashlib would map OpenSSL's libcrypto into
+# every command only for the config hash
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError
 from .model import AeroSensitivities, ControlGains, StructuralParams
@@ -295,7 +305,7 @@ def load_run_config(path, search_dir=None, seed=None) -> RunConfig:
         kwargs["seed"] = seed
     cfg = RunConfig(params=params, sens=sens, params_name=params_name,
                     sens_name=sens_name, search_dir=search_dir,
-                    config_hash=hashlib.sha256(raw).hexdigest()[:12],
+                    config_hash=sha256(raw).hexdigest()[:12],
                     fatigue=FatigueSettings(**vals.get("fatigue", {})), **kwargs)
     if "gains" in vals:
         cfg.gains_override = ControlGains(**vals["gains"])

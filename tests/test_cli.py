@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 import os
 import subprocess
@@ -655,19 +656,26 @@ def test_fatigue_series_comments_blank_lines_and_crlf(tmp_path, text):
                                   b"4.5,0.75,0.5\r\n")
 
 
-@pytest.mark.parametrize("column,unit", [("phi [rad]", "rad"), ("phi", "-")])
-def test_fatigue_outputs_carry_the_unit_of_the_series_header(tmp_path, column,
-                                                            unit):
-    # they used to read N*m whatever the channel
+@pytest.mark.parametrize("column,unit", [("phi [rad]", "rad"), ("phi", "-"),
+                                         ("tower_moment [N*m]", "N*m")])
+def test_fatigue_outputs_carry_the_unit_of_the_series_header(tmp_path, capsys,
+                                                            column, unit):
+    # they used to read N*m whatever the channel.  The S-N curve reads
+    # range / section modulus as a stress, so only a moment gets a Miner
+    # damage: one of an angle or a unitless signal would mean nothing
     series = tmp_path / "series.csv"
-    series.write_text(f"t [s],{column}\n0.0,0.1\n0.1,-0.2\n0.2,0.3\n")
+    series.write_text(f"t [s],{column}\n0.0,1e7\n0.1,-2e7\n0.2,3e7\n")
     cfg = _cfg(tmp_path, BASE)
     assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
-                 str(series), "--channel", "phi"]) == 0
+                 str(series), "--channel", column.partition(" [")[0]]) == 0
     cyc = _read_rows(tmp_path / "o" / "cycles.csv")
     assert cyc[0] == [f"range [{unit}]", f"mean [{unit}]", "count [-]"]
-    summary = [r[0] for r in _read_rows(tmp_path / "o" / "fatigue_summary.csv")]
-    assert f"del_m3 [{unit}]" in summary
+    summary = dict(_read_rows(tmp_path / "o" / "fatigue_summary.csv")[1:])
+    moment = unit == "N*m"
+    assert list(summary) == ["channel", "n_cycles", f"del_m3 [{unit}]"] + \
+        ["damage [-]"] * moment
+    assert not moment or float(summary["damage [-]"]) > 0.0
+    assert ("damage=" in capsys.readouterr().out) == moment
 
 
 def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):
@@ -680,6 +688,21 @@ def test_fatigue_summary_quotes_a_channel_name_with_a_comma(tmp_path):
     assert b'\r\nchannel,"load, tower"\r\n' in data
     rows = _read_rows(tmp_path / "o" / "fatigue_summary.csv")
     assert rows[1] == ["channel", "load, tower"]
+
+
+def test_fatigue_headers_quote_a_unit_with_a_comma(tmp_path):
+    # the unit cells were written bare: 5 header cells over 3-value rows
+    series = tmp_path / "series.csv"
+    series.write_text('t [s],"tm [N,m]"\n0.0,1.0\n0.1,-2.0\n0.2,3.0\n')
+    cfg = _cfg(tmp_path, BASE)
+    assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
+                 str(series), "--channel", "tm"]) == 0
+    cyc = _read_rows(tmp_path / "o" / "cycles.csv")
+    assert cyc[0] == ["range [N,m]", "mean [N,m]", "count [-]"]
+    assert {len(r) for r in cyc} == {3}
+    summary = _read_rows(tmp_path / "o" / "fatigue_summary.csv")
+    assert {len(r) for r in summary} == {2}
+    assert summary[3][0] == "del_m3 [N,m]"
 
 
 @pytest.mark.parametrize("body,msg", [
@@ -954,6 +977,55 @@ for command in ("tune", "analyze", "simulate", "bode", "campaign"):
 assert main({["fatigue", "--config", exact, "--out", out, series]!r}) == 0
 assert not loaded(), ("fatigue", loaded())
 """)
+
+
+# _sha2 from Python 3.12 on, _sha256 before
+@pytest.mark.skipif(not any(importlib.util.find_spec(name)
+                            for name in ("_sha2", "_sha256")),
+                    reason="interpreter built without _sha2 and _sha256, so "
+                           "the config hash falls back to hashlib")
+def test_no_command_loads_openssl(tmp_path):
+    """`import fowtctl.cli` and all six commands leave hashlib and its
+    OpenSSL module `_hashlib` unloaded: the config hash is the
+    interpreter's own SHA-256."""
+    cfg = _cfg(tmp_path, SIM + "\n[campaign]\nwind_speeds = 12\n"
+               "strategies = none, reference\n")
+    out = str(tmp_path / "o")
+    series = str(tmp_path / "o" / "timeseries.csv")
+    _run_python(f"""
+import sys
+from fowtctl.cli import main
+
+def loaded():
+    return sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)
+
+assert not loaded(), ("import", loaded())
+for command in ("tune", "analyze", "simulate", "bode", "campaign"):
+    assert main([command, "--config", {cfg!r}, "--out", {out!r}]) == 0
+    assert not loaded(), (command, loaded())
+assert main({["fatigue", "--config", cfg, "--out", out, series]!r}) == 0
+assert not loaded(), ("fatigue", loaded())
+""")
+
+
+def test_config_hash_without_the_builtin_sha256(tmp_path):
+    # an interpreter built without _sha2 and _sha256 takes hashlib's
+    cfg = _cfg(tmp_path, SIM)
+    lines = {}
+    for block in (False, True):
+        out = str(tmp_path / f"o{block}")
+        _run_python(f"""
+import sys
+if {block!r}:
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from fowtctl.cli import main
+assert main({["simulate", "--config", cfg, "--out", out]!r}) == 0
+assert ("hashlib" in sys.modules) == {block!r}
+""")
+        text = (Path(out) / "timeseries.csv").read_text()
+        lines[block] = [line for line in text.splitlines()
+                        if line.startswith("# config_hash=")]
+    assert lines[True] == lines[False] and len(lines[True]) == 1
 
 
 # jr = 1e-300 makes the closed loop's state matrix overflow

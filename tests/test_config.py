@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -208,6 +209,18 @@ def test_config_hash_tracks_bytes(tmp_path):
     assert a.config_hash == b.config_hash
     assert a.config_hash != c.config_hash
     assert len(a.config_hash) == 12
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(BASE.encode(), id="ascii"),
+    pytest.param(("# Böe, 12 m/s — Tabelle 1\n" + BASE).encode(), id="utf8-comment"),
+    pytest.param(BASE.replace("\n", "\r\n").encode(), id="crlf"),
+])
+def test_config_hash_is_sha256_of_the_file_bytes(tmp_path, raw):
+    # taken from the interpreter's own SHA-256, not hashlib's OpenSSL one
+    path = tmp_path / "run.ini"
+    path.write_bytes(raw)
+    assert load_run_config(path).config_hash == hashlib.sha256(raw).hexdigest()[:12]
 
 
 def test_gains_round_trip(tmp_path):
