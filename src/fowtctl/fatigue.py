@@ -54,21 +54,15 @@ def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if x.size < 2:
         return x.copy()
-    # a step between two kept samples is exactly the nonzero step of the
-    # full signal that ends at the later one, so one diff serves both
-    # passes; each full-length temporary is released once it is used
-    step = np.diff(x)
-    moved = step != 0.0
+    moved = x[1:] != x[:-1]
     if not moved.all():
         x = x[np.concatenate(([True], moved))]
-        step = step[moved]
     del moved
     if x.size <= 2:
         return x.copy()
     # slope signs, not slope products: a product of two tiny slopes
     # can underflow to zero and hide an extremum
-    rising = step > 0.0
-    del step
+    rising = x[1:] > x[:-1]
     keep = np.ones(x.size, dtype=bool)
     np.not_equal(rising[:-1], rising[1:], out=keep[1:-1])
     del rising
@@ -92,8 +86,8 @@ def turning_points(signal, hysteresis: float = 0.0) -> np.ndarray:
         if start < resume:
             continue
         # the last two kept points' values and the index of the last; prev
-        # is nan before the second point, and a product with nan is never
-        # > 0, so nothing merges into the first point
+        # is nan before the second point, and every comparison with nan is
+        # false, so nothing merges into the first point
         prev = pts[start - 2] if start >= 2 else math.nan
         last, at = pts[start - 1], start - 1
         for i in range(start, x.size):

@@ -103,8 +103,9 @@ class TimeSeries:
         columns, units = {}, {}
         for i, col in enumerate(head[1:], 1):
             name, _, unit = col.partition(" [")
+            name = name.strip()
             columns[name] = i
-            units[name] = unit.rstrip("]")
+            units[name] = unit.strip(" ]")
         if channel is not None:
             if channel not in columns:
                 raise ParameterError(f"channel {channel!r} not in {path} "
@@ -340,7 +341,7 @@ def load_wind_file(path):
         cols = "one column" if data.shape[1] == 1 else f"{data.shape[1]} columns"
         raise ParameterError(f"wind file {path} has {cols}; it needs two (t, v)")
     t = data[:, 0]
-    steps = np.diff(t) > 0.0
+    steps = t[1:] > t[:-1]
     if not steps.all():
         raise ParameterError(f"wind file {path}: t must be strictly increasing "
                              f"(data row {int(np.argmin(steps)) + 2})")

@@ -200,7 +200,7 @@ class FrequencyResponse:
     label: str
 
     def __post_init__(self):
-        if np.any(np.diff(self.nu_grid) <= 0.0):
+        if np.any(self.nu_grid[1:] <= self.nu_grid[:-1]):
             raise ParameterError("frequency grid must be strictly increasing")
         if not np.all(np.isfinite(self.magnitude)):
             raise ParameterError("magnitude not finite on grid (pole on grid?)")

@@ -656,8 +656,11 @@ def test_fatigue_series_comments_blank_lines_and_crlf(tmp_path, text):
                                   b"4.5,0.75,0.5\r\n")
 
 
-@pytest.mark.parametrize("column,unit", [("phi [rad]", "rad"), ("phi", "-"),
-                                         ("tower_moment [N*m]", "N*m")])
+@pytest.mark.parametrize("column,unit", [
+    ("phi [rad]", "rad"), ("phi", "-"), ("tower_moment [N*m]", "N*m"),
+    # spaces around the cell, the name and the unit are not part of them
+    pytest.param(" tower_moment [N*m] ", "N*m", id="padded"),
+    pytest.param("tower_moment  [ N*m ]", "N*m", id="padded-inside")])
 def test_fatigue_outputs_carry_the_unit_of_the_series_header(tmp_path, capsys,
                                                             column, unit):
     # they used to read N*m whatever the channel.  The S-N curve reads
@@ -667,7 +670,8 @@ def test_fatigue_outputs_carry_the_unit_of_the_series_header(tmp_path, capsys,
     series.write_text(f"t [s],{column}\n0.0,1e7\n0.1,-2e7\n0.2,3e7\n")
     cfg = _cfg(tmp_path, BASE)
     assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
-                 str(series), "--channel", column.partition(" [")[0]]) == 0
+                 str(series), "--channel",
+                 column.partition(" [")[0].strip()]) == 0
     cyc = _read_rows(tmp_path / "o" / "cycles.csv")
     assert cyc[0] == [f"range [{unit}]", f"mean [{unit}]", "count [-]"]
     summary = dict(_read_rows(tmp_path / "o" / "fatigue_summary.csv")[1:])

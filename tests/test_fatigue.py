@@ -93,6 +93,59 @@ def test_turning_points_merge_matches_the_per_sample_loop(case):
     assert got.tobytes() == _turning_points_loop(x, hyst).tobytes()
 
 
+def _extrema_by_diff(x):
+    """The extremum pass as it read the slopes off one np.diff: repeats
+    dropped where the step is nonzero, extrema kept where the step's
+    sign turns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.diff(x)
+    moved = step != 0.0
+    x = x[np.concatenate(([True], moved))]
+    if x.size <= 2:
+        return x
+    rising = step[moved] > 0.0
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:-1] = rising[:-1] != rising[1:]
+    return x[keep]
+
+
+_EDGE_LEVEL = st.one_of(
+    st.integers(-3, 3).map(float),  # a few levels: plateaus and repeats
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-3, 3).map(lambda k: k * 5e-324),  # subnormal steps
+    st.floats(1e307, 1.7e308), st.floats(-1.7e308, -1e307),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _edge_signal(draw):
+    """Runs of levels (a run is a plateau), then possibly one non-finite
+    sample, as a diverged run leaves at its end."""
+    runs = draw(st.lists(st.tuples(_EDGE_LEVEL, st.integers(1, 3)),
+                         min_size=1, max_size=30))
+    tail = draw(st.sampled_from([[], [math.inf], [-math.inf], [math.nan]]))
+    return np.array([v for v, n in runs for _ in range(n)] + tail)
+
+
+@given(_edge_signal(), st.sampled_from([5e-324, 0.5, 1e308]))
+@example(np.array([0.0, -0.0, 5e-324, 5e-324, 0.0, 1.0, 1.0]), 0.5)
+@example(np.array([1.7e308, -1.7e308, 1.7e308, 1.0, math.inf]), 1e308)
+@example(np.array([-1.0, 2.0, 2.0, 1.0, math.nan]), 0.5)
+@settings(max_examples=500, deadline=None)
+def test_turning_points_by_comparison_match_the_diff_rule(x, hyst):
+    # b - a > 0 and b - a != 0 read as b > a and b != a for every pair
+    # but two equal infinities, which a finite series with one non-finite
+    # last sample never holds; and the comparisons overflow nowhere
+    ref = _extrema_by_diff(x)
+    assert turning_points(x).tobytes() == ref.tobytes()
+    # the hysteresis merge reads only the extrema, which the extremum
+    # pass leaves as they are, and takes its own diff, which may overflow
+    assert turning_points(ref).tobytes() == ref.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = turning_points(x, hysteresis=hyst)
+        assert got.tobytes() == turning_points(ref, hysteresis=hyst).tobytes()
+
+
 def _mean_reverting_walk(seed, n=20_000):
     """x[k] = 0.998 x[k-1] + e[k], as in the benchmark's fatigue series."""
     rng = np.random.default_rng(seed)
