@@ -127,12 +127,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     ts = simulate(loop, cfg.disturbances, dt=cfg.dt, t_end=cfg.duration,
                   method=cfg.method)
     path = out / "timeseries.csv"
-    header = _header(cfg)
-    if "diverged_at" in ts.meta:
-        header.append(f"diverged_at={ts.meta['diverged_at']!r}")
-        print(f"warning: simulation diverged at t={ts.meta['diverged_at']} s",
-              file=sys.stderr)
-    ts.to_csv(path, header_lines=header)
+    if ts.diverged_at is not None:
+        print(f"warning: simulation diverged at t={ts.diverged_at} s", file=sys.stderr)
+    ts.to_csv(path, header_lines=_header(cfg))
     print(f"wrote {path} ({len(ts)} samples, {len(ts.channels)} channels)")
     return 0
 
@@ -208,7 +205,7 @@ def _campaign_case(cfg: RunConfig, index: int, speed: float,
     ts = simulate(loop, cfg.disturbances, dt=cfg.dt, t_end=cfg.duration,
                   method=cfg.method, case=index)
     stable = modal_report(loop.closed).stable
-    diverged = "diverged_at" in ts.meta
+    diverged = ts.diverged_at is not None
     t_skip = cfg.transient if cfg.transient < cfg.duration else 0.0
     post = ts.window(t_skip) if not diverged else ts
     # one row per channel: each reduction runs along a contiguous row, in

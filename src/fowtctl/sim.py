@@ -42,7 +42,7 @@ class TimeSeries:
     channels: dict[str, np.ndarray]
     units: dict[str, str] = field(default_factory=dict)
     t0: float = 0.0
-    meta: dict = field(default_factory=dict)
+    diverged_at: float | None = None  # time of the last sample of a diverged run
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -68,10 +68,14 @@ class TimeSeries:
             channels={k: v[i:].copy() for k, v in self.channels.items()},
             units=dict(self.units),
             t0=float(t[i]) if i < len(t) else self.t0,
-            meta=dict(self.meta),
+            diverged_at=self.diverged_at,
         )
 
     def to_csv(self, path, header_lines: list[str] | None = None):
+        """The series as CSV under the provenance lines, the last of them
+        `diverged_at=<t>` when the run diverged."""
+        if self.diverged_at is not None:
+            header_lines = [*(header_lines or []), f"diverged_at={self.diverged_at!r}"]
         names = list(self.channels)
         columns = [self.time] + [self.channels[n] for n in names]
         write_csv(path, header_lines or [],
@@ -536,7 +540,7 @@ def simulate(loop: StateSpace, disturbances, dt: float, t_end: float,
     into the channels of model.CHANNELS: the states, then y = C x + D u
     of the loop's c and d.  case is the campaign case index that keys
     the JONSWAP phases (0 for a single run).  A run whose state
-    overflows is truncated and flagged in meta["diverged_at"];
+    overflows is truncated and flagged in diverged_at;
     divergence is a valid result for unstable parameter sets."""
     if dt <= 0.0 or t_end < dt:
         raise ParameterError("need dt > 0 and t_end >= dt")
@@ -563,7 +567,5 @@ def simulate(loop: StateSpace, disturbances, dt: float, t_end: float,
             for weight, col in zip(weights, columns):
                 if weight:
                     y += weight * col
-    meta = {"method": method}
-    if diverged:
-        meta["diverged_at"] = float(t[n - 1])
-    return TimeSeries(dt=dt, channels=channels, units=dict(CHANNELS), meta=meta)
+    return TimeSeries(dt=dt, channels=channels, units=dict(CHANNELS),
+                      diverged_at=float(t[n - 1]) if diverged else None)

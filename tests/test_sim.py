@@ -65,22 +65,21 @@ def _window_by_mask(ts, t_start):
                               "between-samples", "last-sample", "past-last", "past-end"])
 def test_window_equals_the_mask_and_gather(t_start):
     rng = np.random.default_rng(5)
-    ts = TimeSeries(dt=0.1, t0=0.3, units={"a": "m"}, meta={"k": 1},
+    ts = TimeSeries(dt=0.1, t0=0.3, units={"a": "m"}, diverged_at=2.2,
                     channels={"a": rng.normal(size=20), "b": rng.normal(size=20)})
     win = ts.window(t_start)
     channels, t0 = _window_by_mask(ts, t_start)
     assert win.t0 == t0 and win.dt == ts.dt
-    assert win.units == ts.units and win.meta == ts.meta
+    assert win.units == ts.units and win.diverged_at == ts.diverged_at
     for name, values in channels.items():
         assert np.array_equal(win.channels[name], values)
     before = {k: v.copy() for k, v in ts.channels.items()}
     for values in win.channels.values():
         values += 1.0
     win.units["a"] = "x"
-    win.meta["k"] = 2
     for name, values in ts.channels.items():
         assert np.array_equal(values, before[name])
-    assert ts.units == {"a": "m"} and ts.meta == {"k": 1}
+    assert ts.units == {"a": "m"}
 
 
 def test_timeseries_csv_round_trip(tmp_path):
@@ -92,6 +91,20 @@ def test_timeseries_csv_round_trip(tmp_path):
     assert back.dt == pytest.approx(0.1)
     assert back.units["a"] == "m"
     np.testing.assert_allclose(back.channels["a"], ts.channels["a"])
+
+
+@pytest.mark.parametrize("diverged_at, lines", [
+    (18.05, b"# a\n# diverged_at=18.05\n"),
+    (None, b"# a\n"),
+], ids=["diverged", "not-diverged"])
+def test_to_csv_writes_the_divergence_line_after_the_header(tmp_path, diverged_at,
+                                                            lines):
+    ts = TimeSeries(dt=0.05, channels={"a": np.array([1.0, 2.0])}, units={"a": "m"},
+                    diverged_at=diverged_at)
+    path = tmp_path / "ts.csv"
+    ts.to_csv(path, ["a"])
+    assert path.read_bytes() == (lines + b"t [s],a [m]\r\n"
+                                 b"0.000000,1\r\n0.050000,2\r\n")
 
 
 def test_write_csv_golden_bytes(tmp_path):
@@ -377,7 +390,7 @@ def test_divergence_matches_per_step_check(params, sens_t1f, method):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ts = simulate(ss, specs, dt=0.05, t_end=600.0, method=method)
-    assert ts.meta["diverged_at"] == 18.05
+    assert ts.diverged_at == 18.05
     assert len(ts) == 362
     _assert_states_match(ts, _reference_states(ss, specs, 0.05, 18.05, method))
 
@@ -486,8 +499,7 @@ def test_simulate_divergence_truncates_and_flags(params, sens_t1f):
                                  ControlGains(kp=-2.0)),
                       [DisturbanceSpec(kind="step-wind", amplitude=1.0)],
                       dt=0.05, t_end=100.0, method=method)
-        assert "diverged_at" in ts.meta
-        assert ts.meta["diverged_at"] < 100.0
+        assert ts.diverged_at is not None and ts.diverged_at < 100.0
         assert len(ts) < 2001
         for name, values in ts.channels.items():
             assert np.all(np.isfinite(values)), (method, name)
@@ -505,7 +517,7 @@ def test_overflowed_state_leaves_the_outputs_it_does_not_enter(params, sens_t1f)
         ts = simulate(close_loop(build_open_loop(params, sens_t1f),
                                  ControlGains(ktaug=1e40)),
                       specs, dt=0.05, t_end=10.0, method="exact")
-    assert ts.meta["diverged_at"] == 0.05 and len(ts) == 2
+    assert ts.diverged_at == 0.05 and len(ts) == 2
     last = {name: values[-1] for name, values in ts.channels.items()}
     assert (last["beta"], last["v"], last["w"]) == (0.01, 1.0, 0.0)
     for name in ("theta", "omega", "phi", "phidot", "v_rel", "tower_moment"):
