@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 
 # the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before), as
@@ -34,7 +33,7 @@ from .sim import DISTURBANCE_FIELDS, DisturbanceSpec, write_header
 
 
 def _data_dir() -> Path:
-    return Path(str(resources.files("fowtctl").joinpath("data")))
+    return Path(__file__).with_name("data")
 
 
 def _resolve(section: str, name: str, search_dir: str | Path | None) -> Path:

@@ -116,13 +116,21 @@ def rainflow(signal, hysteresis_frac: float = 0.0) -> Cycles:
     hysteresis_frac discards turning-point moves smaller than that
     fraction of the signal's peak-to-peak before counting (0 disables
     the filter).  Residual stack pairs are counted as half cycles.
+    A finite history whose peak-to-peak overflows is refused: its ranges
+    would be infinite.
     """
     x = np.asarray(signal, dtype=float)
     if x.size < 2:
         return Cycles(np.zeros(0), np.zeros(0), np.zeros(0))
+    # as Python floats, which overflow to inf without a numpy warning
+    lowest, highest = float(x.min()), float(x.max())
+    span = highest - lowest
+    if math.isinf(span) and math.isfinite(lowest) and math.isfinite(highest):
+        raise ParameterError(f"load range overflows: the history spans "
+                             f"{lowest!r} to {highest!r}")
     hyst = 0.0
     if hysteresis_frac > 0.0:
-        hyst = hysteresis_frac * float(np.ptp(x))
+        hyst = hysteresis_frac * span
     # counted pair i runs from lo[i] to hi[i] in history order; `half`
     # holds the indices of the pairs that contained the starting point
     lo = array("d")

@@ -629,6 +629,20 @@ def test_fatigue_bad_series_file_ends_as_error(tmp_path, capsys, text, msg):
     assert err.startswith("error:") and str(series) in err and msg in err
 
 
+def test_fatigue_of_a_series_whose_range_overflows_ends_as_error(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("t [s],tower_moment [N*m]\n0.0,1e308\n0.1,-1e308\n"
+                      "0.2,1e308\n0.3,-1e308\n")
+    cfg = _cfg(tmp_path, BASE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported as an error, not warned about
+        assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
+                     str(series)]) == 2
+    assert capsys.readouterr().err == ("error: load range overflows: the history "
+                                       "spans -1e+308 to 1e+308\n")
+    assert not (tmp_path / "o" / "cycles.csv").exists()
+
+
 _SERIES_HEAD = "t [s],tower_moment [N*m]"
 
 

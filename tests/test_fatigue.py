@@ -333,6 +333,21 @@ def test_rainflow_short_or_flat_signals():
     assert len(rainflow([2.0, 2.0, 2.0])) == 0
 
 
+@pytest.mark.parametrize("frac", [0.0, 1e-3])
+def test_rainflow_refuses_a_finite_history_whose_range_overflows(frac):
+    with pytest.raises(ParameterError, match="load range overflows"):
+        rainflow([1e308, -1e308, 1e308, -1e308], hysteresis_frac=frac)
+
+
+@pytest.mark.parametrize("frac, ranges", [(0.0, [4.0, math.inf]), (1e-3, [math.inf])])
+def test_rainflow_still_counts_a_history_ending_on_a_non_finite_sample(frac, ranges):
+    # the last sample of a diverged run can be past overflow
+    cycles = rainflow([1.0, -3.0, math.inf], hysteresis_frac=frac)
+    assert cycles.range.tolist() == ranges
+    assert cycles.count.tolist() == [0.5] * len(ranges)
+    assert len(rainflow([1.0, 2.0, math.nan], hysteresis_frac=frac)) == 1
+
+
 def test_rainflow_hysteresis_filter_drops_small_cycles():
     sig = [0.0, 10.0, 9.99, 10.01, 0.0, 10.0, 0.0]
     noisy = rainflow(sig)
