@@ -26,8 +26,8 @@ if not any(_v in _os.environ for _v in
 from .errors import ConfigError, FowtctlError, GainSingularityError, ParameterError
 from .fatigue import (Cycle, Cycles, WohlerCurve, damage_equivalent_load,
                       miner_damage, rainflow, turning_points)
-from .gains import (PlatformTarget, RotorTarget, kbeta_reference,
-                    kbeta_zeta_fixed, ktaug, synthesize, tune_pi)
+from .gains import (RotorTarget, kbeta_reference, kbeta_zeta_fixed, ktaug,
+                    synthesize, tune_pi)
 from .model import (AeroSensitivities, ControlGains, StateSpace,
                     StructuralParams, build_open_loop, close_loop)
 from .sim import (DisturbanceSpec, TimeSeries, jonswap_spectrum, jonswap_wave,
@@ -43,7 +43,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AeroSensitivities", "ControlGains", "StateSpace", "StructuralParams",
     "build_open_loop", "close_loop",
-    "RotorTarget", "PlatformTarget",
+    "RotorTarget",
     "tune_pi", "kbeta_zeta_fixed", "kbeta_reference", "ktaug", "synthesize",
     "Mode", "ModalReport", "ModeSummary", "NmpzBoundaryWarning",
     "nmpz_phi_condition", "nmpz_omega_condition",

@@ -172,8 +172,6 @@ def _evaluate_fatigue(signal, fs: FatigueSettings, moment: bool = True):
 
 def cmd_fatigue(cfg: RunConfig, out: Path, series_file: str,
                 channel: str = "tower_moment") -> int:
-    # only the analysed channel is kept, so a wide series file is not
-    # held twice while its channels are copied out of the parsed table
     ts = TimeSeries.from_csv(series_file, channel=channel)
     unit = ts.units[channel] or "-"
     cycles, del_value, damage = _evaluate_fatigue(

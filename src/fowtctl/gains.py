@@ -31,17 +31,6 @@ class RotorTarget:
             raise ParameterError(f"nu_rot must be > 0 (got {self.nu_rot})")
 
 
-@dataclass(frozen=True)
-class PlatformTarget:
-    """Imposed platform-pitch damping ratio."""
-
-    zeta_plt: float
-
-    def __post_init__(self):
-        if not (self.zeta_plt > 0.0 and math.isfinite(self.zeta_plt)):
-            raise ParameterError(f"zeta_plt must be > 0 (got {self.zeta_plt})")
-
-
 def tune_pi(params: StructuralParams, sens: AeroSensitivities,
             target: RotorTarget) -> tuple[float, float]:
     """Invert the reduced rotor dynamics for (kp, ki).
@@ -63,15 +52,17 @@ def tune_pi(params: StructuralParams, sens: AeroSensitivities,
 
 
 def kbeta_zeta_fixed(params: StructuralParams, sens: AeroSensitivities,
-                     target: PlatformTarget) -> float:
-    """Platform compensation gain that imposes the requested damping
-    ratio on the reduced platform dynamics, leaving nu_plt untouched."""
+                     zeta_plt: float) -> float:
+    """Platform compensation gain that imposes the damping ratio zeta_plt
+    on the reduced platform dynamics, leaving nu_plt untouched."""
+    if not (zeta_plt > 0.0 and math.isfinite(zeta_plt)):
+        raise ParameterError(f"zeta_plt must be > 0 (got {zeta_plt})")
     if sens.dfa_dbeta == 0.0:
         raise GainSingularityError("dfa_dbeta = 0: damping imposition undefined")
     if params.ht == 0.0:
         raise GainSingularityError("ht = 0: blade pitch has no lever on the platform")
     return (params.dt + params.ht ** 2 * sens.dfa_dv
-            - 2.0 * math.sqrt(params.kt * params.jt) * target.zeta_plt) \
+            - 2.0 * math.sqrt(params.kt * params.jt) * zeta_plt) \
         / (params.ht * sens.dfa_dbeta)
 
 
@@ -105,7 +96,7 @@ def synthesize(params: StructuralParams, sens: AeroSensitivities,
     if strategy == "zeta-fixed":
         if zeta_plt is None:
             raise ParameterError("zeta-fixed strategy requires zeta_plt")
-        kbeta = kbeta_zeta_fixed(params, sens, PlatformTarget(zeta_plt))
+        kbeta = kbeta_zeta_fixed(params, sens, zeta_plt)
     elif strategy == "reference":
         kbeta = kbeta_reference(params, sens)
     elif strategy == "none":

@@ -83,11 +83,11 @@ class TimeSeries:
                   "%.6f" + ",%.12g" * len(names), columns)
 
     @classmethod
-    def from_csv(cls, path, channel: str | None = None) -> "TimeSeries":
-        """The series a CSV file holds, every column parsed and checked.
-        With `channel`, only that channel is kept.  Each kept channel is
-        copied out of the parsed table, which is then freed: the time
-        column is read only for t0 and dt."""
+    def from_csv(cls, path, channel: str) -> "TimeSeries":
+        """The one channel `channel` of the series a CSV file holds, every
+        column parsed and checked.  The channel is copied out of the
+        parsed table, which is then freed: the time column is read only
+        for t0 and dt."""
         try:
             # the provenance and header lines by csv (a header cell may be
             # quoted), then the body by numpy from the path, which reads
@@ -104,22 +104,19 @@ class TimeSeries:
         if head is None or len(arr) == 0 or arr.shape[1] != len(head):
             raise ParameterError(f"series file {path} needs a header row and "
                                  "data rows with one value per column")
-        columns, units = {}, {}
+        # name -> (column, unit); of two columns of one name the last counts
+        columns = {}
         for i, col in enumerate(head[1:], 1):
             name, _, unit = col.partition(" [")
-            name = name.strip()
-            columns[name] = i
-            units[name] = unit.strip(" ]")
-        if channel is not None:
-            if channel not in columns:
-                raise ParameterError(f"channel {channel!r} not in {path} "
-                                     f"(has {sorted(columns)})")
-            columns = {channel: columns[channel]}
-            units = {channel: units[channel]}
+            columns[name.strip()] = i, unit.strip(" ]")
+        if channel not in columns:
+            raise ParameterError(f"channel {channel!r} not in {path} "
+                                 f"(has {sorted(columns)})")
+        i, unit = columns[channel]
         t = arr[:, 0]
         dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
-        channels = {n: arr[:, i].copy() for n, i in columns.items()}
-        return cls(dt=dt, channels=channels, units=units, t0=float(t[0]))
+        return cls(dt=dt, channels={channel: arr[:, i].copy()},
+                   units={channel: unit}, t0=float(t[0]))
 
 
 def _first_bad_row(path, skip: int, width: int | None) -> str | None:

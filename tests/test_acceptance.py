@@ -16,8 +16,7 @@ import pytest
 
 from fowtctl.cli import main
 from fowtctl.fatigue import WohlerCurve, damage_equivalent_load, rainflow
-from fowtctl.gains import (PlatformTarget, RotorTarget, kbeta_zeta_fixed,
-                           synthesize)
+from fowtctl.gains import RotorTarget, kbeta_zeta_fixed, synthesize
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
                            build_open_loop, close_loop)
 from fowtctl.sim import DisturbanceSpec, simulate
@@ -121,7 +120,7 @@ def test_damping_imposition(params, sens_t1f):
     ok = True
     # decoupled: imposed damping recovered by log decrement
     for zeta in (0.05, 0.10, 0.25, 0.5):
-        kb = kbeta_zeta_fixed(params, sens_t1f, PlatformTarget(zeta))
+        kb = kbeta_zeta_fixed(params, sens_t1f, zeta)
         a = np.zeros((4, 4))
         a[2, 3] = 1.0
         a[3, 2] = -params.kt / params.jt
@@ -184,7 +183,7 @@ def test_frequency_time_consistency(params, sens_t1f):
     amps = {}
     ok = True
     for zeta in (0.10, 0.25):
-        kb = kbeta_zeta_fixed(params, sens_t1f, PlatformTarget(zeta))
+        kb = kbeta_zeta_fixed(params, sens_t1f, zeta)
         amps[zeta] = _forced_amplitude(params, sens_t1f, kb, tp, hw)
         predicted = (sens_t1f.dtw_dw / params.kt) / (2.0 * zeta) * (hw / 2.0)
         ok = ok and abs(amps[zeta] - predicted) / predicted < 0.01
@@ -207,7 +206,7 @@ def _strategy_run(params, sens, kbeta, tp, t_end=700.0):
 
 
 def test_strategy_comparison(params, sens_t1f):
-    kb = {zeta: kbeta_zeta_fixed(params, sens_t1f, PlatformTarget(zeta))
+    kb = {zeta: kbeta_zeta_fixed(params, sens_t1f, zeta)
           for zeta in (0.10, 0.25)}
     results = {}
     for tp in (28.75, 11.0):

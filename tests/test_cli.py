@@ -122,10 +122,10 @@ def test_analyze_reports_conditions(tmp_path, capsys):
 def test_simulate_output_round_trips(tmp_path):
     cfg = _cfg(tmp_path, SIM)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    ts = TimeSeries.from_csv(tmp_path / "o" / "timeseries.csv")
+    ts = TimeSeries.from_csv(tmp_path / "o" / "timeseries.csv", "tower_moment")
     assert ts.dt == pytest.approx(0.05)
     assert len(ts) == 1201
-    assert "tower_moment" in ts.channels
+    assert ts.units == {"tower_moment": "N*m"}
     # header carries the provenance lines
     head = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()[:4]
     assert head[0].startswith("# fowtctl")
@@ -145,8 +145,8 @@ def test_seed_flag_overrides_config(tmp_path):
     main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")])
     main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"),
           "--seed", "43"])
-    a = TimeSeries.from_csv(tmp_path / "a" / "timeseries.csv")
-    b = TimeSeries.from_csv(tmp_path / "b" / "timeseries.csv")
+    a = TimeSeries.from_csv(tmp_path / "a" / "timeseries.csv", "w")
+    b = TimeSeries.from_csv(tmp_path / "b" / "timeseries.csv", "w")
     assert not np.array_equal(a.channels["w"], b.channels["w"])
 
 
@@ -197,8 +197,8 @@ def test_sections_that_inherit_the_run_seed_draw_different_waves(tmp_path):
     assert [d.seed for d in load_run_config(two).disturbances] == [7, 7]
     for cfg, out in ((one, "a"), (two, "b")):
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
-    w_one, w_two = (TimeSeries.from_csv(tmp_path / d / "timeseries.csv").channels["w"]
-                    for d in "ab")
+    w_one, w_two = (TimeSeries.from_csv(tmp_path / d / "timeseries.csv", "w")
+                    .channels["w"] for d in "ab")
     # the same phases in both sections would give twice the first wave
     assert not np.allclose(w_two, 2.0 * w_one)
 

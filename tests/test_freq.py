@@ -48,11 +48,11 @@ def test_platform_filter_wind_channel(params, sens_t1f):
 
 
 def test_more_damping_flattens_the_peak(params, sens_t1f):
-    from fowtctl.gains import PlatformTarget, kbeta_zeta_fixed
+    from fowtctl.gains import kbeta_zeta_fixed
     grid = np.array([NU_PLT])
     mags = []
     for zeta in (0.1, 0.25):
-        kb = kbeta_zeta_fixed(params, sens_t1f, PlatformTarget(zeta))
+        kb = kbeta_zeta_fixed(params, sens_t1f, zeta)
         mags.append(bode_gplt(params, sens_t1f, kb, grid).magnitude[0])
     assert mags[0] / mags[1] == pytest.approx(2.5, rel=1e-9)
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fowtctl.errors import GainSingularityError, ParameterError
-from fowtctl.gains import (PlatformTarget, RotorTarget, kbeta_reference,
-                           kbeta_zeta_fixed, ktaug, synthesize, tune_pi)
+from fowtctl.gains import (RotorTarget, kbeta_reference, kbeta_zeta_fixed,
+                           ktaug, synthesize, tune_pi)
 from fowtctl.model import AeroSensitivities, StructuralParams
 from fowtctl.stability import platform_summary, rotor_summary
 
@@ -46,14 +46,14 @@ def test_pi_round_trip_property(params, tb, tw, zeta, nu):
     (0.50, 23.873678736099322),
 ])
 def test_kbeta_zeta_fixed_frozen_values(params, sens_t1f, zeta, expected):
-    kb = kbeta_zeta_fixed(params, sens_t1f, PlatformTarget(zeta))
+    kb = kbeta_zeta_fixed(params, sens_t1f, zeta)
     assert kb == pytest.approx(expected, rel=1e-12)
 
 
 @given(zeta=st.floats(0.01, 2.0))
 @settings(max_examples=100, deadline=None)
 def test_kbeta_imposes_requested_damping(params, sens_t1f, zeta):
-    kb = kbeta_zeta_fixed(params, sens_t1f, PlatformTarget(zeta))
+    kb = kbeta_zeta_fixed(params, sens_t1f, zeta)
     summ = platform_summary(params, sens_t1f, kb)
     assert summ.zeta == pytest.approx(zeta, rel=1e-12)
     # the natural frequency is untouched by the compensation gain
@@ -84,7 +84,7 @@ def test_singular_sensitivities_rejected(params):
     with pytest.raises(GainSingularityError):
         tune_pi(params, sens, TARGET)
     with pytest.raises(GainSingularityError):
-        kbeta_zeta_fixed(params, sens, PlatformTarget(0.1))
+        kbeta_zeta_fixed(params, sens, 0.1)
     with pytest.raises(GainSingularityError):
         kbeta_reference(params, sens)
 
@@ -93,7 +93,7 @@ def test_zero_lever_arm_rejected(sens_t1f):
     flat = StructuralParams(ng=1.0, jr=3.16e8, jt=3.0e11, dt=1.0e8,
                             kt=1.433e10, ht=0.0)
     with pytest.raises(GainSingularityError, match="ht"):
-        kbeta_zeta_fixed(flat, sens_t1f, PlatformTarget(0.1))
+        kbeta_zeta_fixed(flat, sens_t1f, 0.1)
 
 
 def test_synthesize_strategies(params, sens_t1f):
@@ -115,11 +115,13 @@ def test_synthesize_validation(params, sens_t1f):
         synthesize(params, sens_t1f, TARGET, strategy="bogus")
 
 
-def test_target_validation():
+def test_target_validation(params, sens_t1f):
     with pytest.raises(ParameterError):
         RotorTarget(zeta_rot=0.0, nu_rot=0.01)
     with pytest.raises(ParameterError):
         RotorTarget(zeta_rot=0.6, nu_rot=-0.01)
-    with pytest.raises(ParameterError):
-        PlatformTarget(zeta_plt=0.0)
+    for zeta in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ParameterError) as info:
+            kbeta_zeta_fixed(params, sens_t1f, zeta)
+        assert str(info.value) == f"zeta_plt must be > 0 (got {zeta})"
 
