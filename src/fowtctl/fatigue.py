@@ -9,6 +9,7 @@ space and continuous at the knee.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,6 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
+
+# no sum of two doubles at most this large in magnitude overflows
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 class Cycle(NamedTuple):
@@ -163,7 +167,14 @@ def rainflow(signal, hysteresis_frac: float = 0.0) -> Cycles:
     hi.extend(rest[1:])
     lo_a, hi_a = np.frombuffer(lo), np.frombuffer(hi)
     ranges = np.abs(hi_a - lo_a)
-    means = 0.5 * (lo_a + hi_a)
+    with np.errstate(over="ignore"):
+        means = 0.5 * (lo_a + hi_a)
+    if not (-lowest <= _HALF_MAX and highest <= _HALF_MAX):
+        # a mean can overflow only here; where it did, the sum of the
+        # halves is finite for finite endpoints (it is not used elsewhere:
+        # on subnormals it rounds differently)
+        over = np.flatnonzero(np.isinf(means))
+        means[over] = 0.5 * lo_a[over] + 0.5 * hi_a[over]
     del lo_a, hi_a, lo, hi  # the endpoints are not needed past here
     counts = np.ones(ranges.size)
     counts[half] = 0.5
@@ -175,13 +186,27 @@ def rainflow(signal, hysteresis_frac: float = 0.0) -> Cycles:
     return Cycles(ranges, means, counts[keep])
 
 
+def _check_overflow(value: float, cycles: Cycles, what: str):
+    """Refuse a value that is not finite although every range is."""
+    if not math.isfinite(value) and np.isfinite(cycles.range).all():
+        raise ParameterError(f"{what} overflows: the largest load range is "
+                             f"{float(cycles.range.max())!r}")
+
+
 def damage_equivalent_load(cycles: Cycles, m: float, n_ref: float) -> float:
     """Constant-amplitude range giving, over n_ref cycles, the same
-    m-th-power damage sum as the counted spectrum."""
+    m-th-power damage sum as the counted spectrum.  A DEL that overflows
+    on finite ranges is refused."""
     if m <= 0.0 or n_ref <= 0.0:
         raise ParameterError("m and n_ref must be > 0")
-    acc = float(np.sum(cycles.count * cycles.range ** m))
-    return (acc / n_ref) ** (1.0 / m)
+    with np.errstate(over="ignore"):
+        acc = float(np.sum(cycles.count * cycles.range ** m))
+    try:
+        value = (acc / n_ref) ** (1.0 / m)
+    except OverflowError:  # a finite float power past the largest double
+        value = math.inf
+    _check_overflow(value, cycles, f"the DEL at m={m:g}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -217,10 +242,14 @@ class WohlerCurve:
 
 def miner_damage(cycles: Cycles, curve: WohlerCurve, section_modulus: float,
                  lifetime_scale: float = 1.0) -> float:
-    """Linear damage accumulation: lifetime_scale * sum(count / N(range/W))."""
+    """Linear damage accumulation: lifetime_scale * sum(count / N(range/W)).
+    A damage that overflows on finite ranges is refused."""
     if section_modulus <= 0.0:
         raise ParameterError(f"section modulus must be > 0 (got {section_modulus})")
     if lifetime_scale < 0.0:
         raise ParameterError(f"lifetime_scale must be >= 0 (got {lifetime_scale})")
-    n_fail = curve.cycles_to_failure(cycles.range / section_modulus)
-    return lifetime_scale * float(np.sum(cycles.count / n_fail))
+    with np.errstate(over="ignore", divide="ignore"):
+        n_fail = curve.cycles_to_failure(cycles.range / section_modulus)
+        damage = lifetime_scale * float(np.sum(cycles.count / n_fail))
+    _check_overflow(damage, cycles, "the Miner damage")
+    return damage

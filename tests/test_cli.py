@@ -643,6 +643,22 @@ def test_fatigue_of_a_series_whose_range_overflows_ends_as_error(tmp_path, capsy
     assert not (tmp_path / "o" / "cycles.csv").exists()
 
 
+def test_fatigue_of_a_series_whose_del_overflows_ends_as_error(tmp_path, capsys):
+    # a range of 2e200 is finite, its cube is not
+    series = tmp_path / "series.csv"
+    series.write_text("t [s],tower_moment [N*m]\n0.0,1e200\n0.1,-1e200\n"
+                      "0.2,1e200\n0.3,-1e200\n")
+    cfg = _cfg(tmp_path, BASE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported as an error, not warned about
+        assert main(["fatigue", "--config", cfg, "--out", str(tmp_path / "o"),
+                     str(series)]) == 2
+    assert capsys.readouterr().err == ("error: the DEL at m=3 overflows: the largest "
+                                       "load range is 2e+200\n")
+    assert not (tmp_path / "o" / "cycles.csv").exists()
+    assert not (tmp_path / "o" / "fatigue_summary.csv").exists()
+
+
 _SERIES_HEAD = "t [s],tower_moment [N*m]"
 
 

@@ -348,6 +348,14 @@ def test_rainflow_still_counts_a_history_ending_on_a_non_finite_sample(frac, ran
     assert len(rainflow([1.0, 2.0, math.nan], hysteresis_frac=frac)) == 1
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rainflow_mean_of_endpoints_whose_sum_overflows(sign):
+    # 1e308 + 1.7e308 is past the largest double, their mean is not
+    cycles = rainflow([sign * x for x in (1e308, 1.7e308, 1e308, 1.7e308)])
+    assert cycles.mean.tolist() == [sign * 1.35e308] * 3
+    assert cycles.range.tolist() == [1.7e308 - 1e308] * 3
+
+
 def test_rainflow_hysteresis_filter_drops_small_cycles():
     sig = [0.0, 10.0, 9.99, 10.01, 0.0, 10.0, 0.0]
     noisy = rainflow(sig)
@@ -378,6 +386,38 @@ def test_del_homogeneity(scale, m):
     d0 = damage_equivalent_load(base, m, 600.0)
     d1 = damage_equivalent_load(scaled, m, 600.0)
     assert d1 == pytest.approx(scale * d0, rel=1e-12)
+
+
+# every range finite, the cube of 2e200 not
+_OVERFLOWING = [1e200, -1e200, 1e200, -1e200]
+
+
+@pytest.mark.parametrize("cycles, m, n_ref, largest", [
+    (rainflow(_OVERFLOWING), 3.0, 600.0, "2e+200"),
+    # a finite sum whose 1/m-th power overflows
+    (Cycles(np.full(1000, 1e280), np.zeros(1000), np.ones(1000)), 0.1, 1.0, "1e+280"),
+], ids=["power-sum", "root"])
+def test_del_refuses_an_overflow_on_finite_ranges(cycles, m, n_ref, largest):
+    with pytest.raises(ParameterError) as info:
+        damage_equivalent_load(cycles, m, n_ref)
+    assert str(info.value) == (f"the DEL at m={m:g} overflows: the largest load "
+                               f"range is {largest}")
+
+
+def test_miner_damage_refuses_an_overflow_on_finite_ranges():
+    curve = WohlerCurve(kind="single", m1=3.0, stress_knee=5e7)
+    with pytest.raises(ParameterError) as info:
+        miner_damage(rainflow(_OVERFLOWING), curve, section_modulus=6.5)
+    assert str(info.value) == ("the Miner damage overflows: the largest load "
+                               "range is 2e+200")
+
+
+def test_del_and_damage_of_an_infinite_range_stay_infinite():
+    # the last sample of a diverged run can be past overflow
+    cycles = rainflow([1.0, -3.0, math.inf])
+    curve = WohlerCurve(kind="single", m1=3.0, stress_knee=5e7)
+    assert damage_equivalent_load(cycles, 3.0, 600.0) == math.inf
+    assert miner_damage(cycles, curve, section_modulus=6.5) == math.inf
 
 
 def test_del_validation():
