@@ -170,9 +170,9 @@ def rainflow(signal, hysteresis_frac: float = 0.0) -> Cycles:
     with np.errstate(over="ignore"):
         means = 0.5 * (lo_a + hi_a)
     if not (-lowest <= _HALF_MAX and highest <= _HALF_MAX):
-        # a mean can overflow only here; where it did, the sum of the
-        # halves is finite for finite endpoints (it is not used elsewhere:
-        # on subnormals it rounds differently)
+        # where the sum of two finite endpoints overflowed, the sum of
+        # their halves is finite; it is used nowhere else, since it
+        # rounds differently on subnormals
         over = np.flatnonzero(np.isinf(means))
         means[over] = 0.5 * lo_a[over] + 0.5 * hi_a[over]
     del lo_a, hi_a, lo, hi  # the endpoints are not needed past here

@@ -659,6 +659,20 @@ def test_fatigue_of_a_series_whose_del_overflows_ends_as_error(tmp_path, capsys)
     assert not (tmp_path / "o" / "fatigue_summary.csv").exists()
 
 
+def test_campaign_whose_damage_overflows_ends_as_error(tmp_path, capsys):
+    # every range over a section modulus of 1e-300 is an infinite stress
+    cfg = _cfg(tmp_path, BASE + "[simulation]\ndt = 0.05\nduration = 20\n"
+               "[disturbance.wind]\nkind = step-wind\namplitude = 1\nonset = 5\n"
+               "[fatigue]\nsection_modulus = 1e-300\n"
+               "[campaign]\nwind_speeds = 12\nstrategies = none\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the Miner damage overflows: the largest load range is ")
+    assert not (tmp_path / "o" / "campaign.csv").exists()
+
+
 _SERIES_HEAD = "t [s],tower_moment [N*m]"
 
 
