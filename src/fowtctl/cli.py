@@ -26,11 +26,9 @@ from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
 from .gains import RotorTarget, synthesize
 from .model import (CHANNELS, AeroSensitivities, ControlGains, build_open_loop,
                     close_loop)
-from .sim import TimeSeries, csv_cell, simulate, write_csv, write_header
-from .stability import (bode_gplt, bode_grot, damped_band, default_grid,
-                        modal_report, nmpz_omega_condition, nmpz_phi_condition,
-                        numerator_omega, numerator_phi, platform_summary,
-                        rotor_summary)
+from .sim import TimeSeries, csv_cell, simulate, write_csv
+from .stability import (bode_gplt, bode_grot, default_grid, loop_report,
+                        modal_report, platform_summary, rotor_summary)
 
 STAT_CHANNELS = ("phi", "omega", "beta", "tower_moment")
 
@@ -88,37 +86,15 @@ def cmd_tune(cfg: RunConfig, out: Path) -> int:
 def cmd_analyze(cfg: RunConfig, out: Path) -> int:
     gains = _resolve_gains(cfg)
     loop = close_loop(build_open_loop(cfg.params, cfg.sens), gains)
-    phi_cond = nmpz_phi_condition(cfg.sens)
-    omega_cond = nmpz_omega_condition(cfg.params, cfg.sens, gains.ktaug)
-    n_phi = numerator_phi(cfg.params, cfg.sens)
-    n_omega = numerator_omega(cfg.params, cfg.sens, gains.ktaug)
-    report = modal_report(loop.closed)
-    verdict = "stable" if report.stable else "unstable"
-    lo, hi = damped_band(cfg.params)
-
-    txt = out / "analysis.txt"
-    with open(txt, "w") as fh:
-        write_header(fh, _header(cfg))
-        fh.write(f"nmpz_phi_condition = {str(phi_cond).lower()}\n")
-        fh.write(f"nmpz_omega_condition = {str(omega_cond).lower()}\n")
-        fh.write(f"damped_band = [{lo!r}, {hi!r}] rad/s\n")
-        fh.write(f"verdict = {verdict}\n")
-    rows = [("nmpz_phi_condition", str(phi_cond).lower()),
-            ("nmpz_omega_condition", str(omega_cond).lower())]
-    for i, r in enumerate(np.sort_complex(np.roots(n_phi))):
-        rows.append((f"numerator_phi_root_{i}", f"{r:.12g}"))
-    for i, r in enumerate(np.sort_complex(np.roots(n_omega))):
-        rows.append((f"numerator_omega_root_{i}", f"{r:.12g}"))
-    for i, lam in enumerate(report.eigenvalues):
-        rows.append((f"eigenvalue_{i}", f"{lam:.12g}"))
-    for i, mode in enumerate(report.modes):
-        rows.append((f"mode_{i}_nu [rad/s]", f"{mode.nu:.12g}"))
-        rows.append((f"mode_{i}_zeta [-]", f"{mode.zeta:.12g}"))
-    rows.append(("stable", str(report.stable).lower()))
-    write_csv(out / "analysis.csv", _header(cfg), ["quantity", "value"],
-              "%s,%s", rows)
-    print(f"phi-NMPZ: {phi_cond}  omega-NMPZ: {omega_cond}  verdict: {verdict}")
-    print(f"wrote {txt} and {out / 'analysis.csv'}")
+    report = loop_report(cfg.params, cfg.sens, gains, loop)
+    path = out / "analysis.csv"
+    write_csv(path, _header(cfg), ["quantity", "value"], "%s,%s",
+              [(name, str(v).lower() if isinstance(v, bool) else f"{v:.12g}")
+               for name, v in report.items()])
+    verdict = "stable" if report["stable"] else "unstable"
+    print(f"phi-NMPZ: {report['nmpz_phi_condition']}  "
+          f"omega-NMPZ: {report['nmpz_omega_condition']}  verdict: {verdict}")
+    print(f"wrote {path}")
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GainSingularityError, ParameterError
-from .model import AeroSensitivities, StructuralParams
+from .model import AeroSensitivities, ControlGains, StateSpace, StructuralParams
 
 #: relative distance to the strict-inequality boundary below which a
 #: warning is emitted (the boundary itself is classified as no-NMPZ)
@@ -269,3 +269,26 @@ def damped_band(params: StructuralParams) -> tuple[float, float]:
     (nu_plt/sqrt(2), sqrt(2)*nu_plt)."""
     nu_plt = _nu_plt(params)
     return nu_plt / math.sqrt(2.0), math.sqrt(2.0) * nu_plt
+
+
+def loop_report(params: StructuralParams, sens: AeroSensitivities,
+                gains: ControlGains, loop: StateSpace) -> dict:
+    """Ordered {row name: value} of one closed loop: both NMPZ conditions,
+    the sorted numerator zeros, the eigenvalues, each mode's nu and zeta,
+    `stable`, then the damped band.  A name carries its row's unit; a
+    condition or `stable` is a bool, any other value a number."""
+    rows = {"nmpz_phi_condition": nmpz_phi_condition(sens),
+            "nmpz_omega_condition": nmpz_omega_condition(params, sens, gains.ktaug)}
+    for name, coeffs in (("phi", numerator_phi(params, sens)),
+                         ("omega", numerator_omega(params, sens, gains.ktaug))):
+        for i, r in enumerate(np.sort_complex(np.roots(coeffs))):
+            rows[f"numerator_{name}_root_{i}"] = r
+    report = modal_report(loop.closed)
+    for i, lam in enumerate(report.eigenvalues):
+        rows[f"eigenvalue_{i}"] = lam
+    for i, mode in enumerate(report.modes):
+        rows[f"mode_{i}_nu [rad/s]"] = mode.nu
+        rows[f"mode_{i}_zeta [-]"] = mode.zeta
+    rows["stable"] = report.stable
+    rows["damped_band_lo [rad/s]"], rows["damped_band_hi [rad/s]"] = damped_band(params)
+    return rows

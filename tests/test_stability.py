@@ -10,9 +10,9 @@ from fowtctl.errors import GainSingularityError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
                            build_open_loop, close_loop)
-from fowtctl.stability import (NmpzBoundaryWarning, modal_report,
-                               nmpz_omega_condition, nmpz_phi_condition,
-                               numerator_omega, numerator_phi,
+from fowtctl.stability import (NmpzBoundaryWarning, damped_band, loop_report,
+                               modal_report, nmpz_omega_condition,
+                               nmpz_phi_condition, numerator_omega, numerator_phi,
                                platform_summary, rotor_summary)
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
@@ -201,6 +201,31 @@ def test_modal_report_keeps_sort_order_for_pairs_of_equal_modulus():
     report = modal_report(a)
     assert [m.zeta for m in report.modes] == pytest.approx([0.1, 0.2], rel=1e-9)
     assert all(m.eigenvalue.imag > 0.0 for m in report.modes)
+
+
+def test_loop_report_rows(params, sens_t3):
+    gains = synthesize(params, sens_t3, RotorTarget(zeta_rot=0.6, nu_rot=0.01),
+                       strategy="zeta-fixed", zeta_plt=0.1, m_taug=0.5)
+    loop = close_loop(build_open_loop(params, sens_t3), gains)
+    rows = loop_report(params, sens_t3, gains, loop)
+    report = modal_report(loop.closed)
+    zeros = {name: np.sort_complex(np.roots(coeffs)) for name, coeffs in
+             (("phi", numerator_phi(params, sens_t3)),
+              ("omega", numerator_omega(params, sens_t3, gains.ktaug)))}
+    want = {"nmpz_phi_condition": nmpz_phi_condition(sens_t3),
+            "nmpz_omega_condition": nmpz_omega_condition(params, sens_t3,
+                                                         gains.ktaug),
+            **{f"numerator_{name}_root_{i}": r
+               for name, roots in zeros.items() for i, r in enumerate(roots)},
+            **{f"eigenvalue_{i}": lam for i, lam in enumerate(report.eigenvalues)}}
+    for i, mode in enumerate(report.modes):
+        want[f"mode_{i}_nu [rad/s]"] = mode.nu
+        want[f"mode_{i}_zeta [-]"] = mode.zeta
+    want["stable"] = report.stable
+    want["damped_band_lo [rad/s]"], want["damped_band_hi [rad/s]"] = damped_band(params)
+    assert list(rows.items()) == list(want.items())
+    assert {k for k, v in rows.items() if isinstance(v, bool)} == {
+        "nmpz_phi_condition", "nmpz_omega_condition", "stable"}
 
 
 # --- reduced summaries -------------------------------------------------
