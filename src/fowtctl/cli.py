@@ -64,6 +64,8 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
 
 def cmd_tune(cfg: RunConfig, out: Path) -> int:
     gains = _resolve_gains(cfg)
+    # a loop that overflows ends here, as in analyze, before gains.ini exists
+    modal_report(close_loop(build_open_loop(cfg.params, cfg.sens), gains).closed)
     rot = rotor_summary(cfg.params, cfg.sens, gains.kp, gains.ki)
     plt = platform_summary(cfg.params, cfg.sens, gains.kbeta)
     lines = _header(cfg) + [

@@ -181,9 +181,11 @@ _TABLE = {
     "sensitivities": {**_USE, "units": ("units", str.lower, _one_of("si", "kn")),
                       **_keys(f.name for f in fields(AeroSensitivities))},
     "run": {"seed": ("seed", int, None), "out": ("out_dir", str, None)},
-    "rotor": {"zeta": ("zeta_rot", float, None), "nu": ("nu_rot", float, None)},
+    "rotor": {"zeta": ("zeta_rot", float, _POSITIVE),
+              "nu": ("nu_rot", float, _POSITIVE)},
     "strategy": {"kind": ("strategy", str, _one_of("zeta-fixed", "reference", "none")),
-                 "zeta": ("zeta_plt", float, None), "m_taug": ("m_taug", float, None)},
+                 "zeta": ("zeta_plt", float, None),
+                 "m_taug": ("m_taug", float, (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))},
     "gains": _keys(f.name for f in fields(ControlGains)),
     "simulation": {**_keys(("dt", "duration"), check=_POSITIVE),
                    "method": ("method", str, _one_of("rk4", "exact")),

@@ -83,12 +83,16 @@ def nmpz_omega_condition(params: StructuralParams, sens: AeroSensitivities,
     if sens.dta_dbeta == 0.0:
         raise GainSingularityError("dta_dbeta must be nonzero")
     tb, fb = sens.dta_dbeta, sens.dfa_dbeta
+    torque = ktaug * params.ng * params.ht * fb
+    # c2 < 0 below as its thrust-wind term against the rest: unlike the
+    # two sides of the form above, neither vanishes when dt = 0
+    _warn_if_boundary(params.ht ** 2 * tb * sens.dfa_dv,
+                      params.ht ** 2 * fb * sens.dta_dv + torque - params.dt * tb)
     # numerator coefficients scaled by ht (>0), which preserves signs
     c3 = params.jt * tb
     c2 = (params.dt * tb
           + params.ht ** 2 * (tb * sens.dfa_dv - fb * sens.dta_dv)
-          - ktaug * params.ng * params.ht * fb)
-    _warn_if_boundary(c2 / c3, 0.0)
+          - torque)
     return c2 / c3 < 0.0
 
 

@@ -353,6 +353,8 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
 @pytest.mark.parametrize("section,key,value", [
     ("run", "seed", "4.5"),
     *[("rotor", k, "x") for k in ("zeta", "nu")],
+    *[("rotor", k, v) for k in ("zeta", "nu") for v in ("nan", "inf", "0", "-1")],
+    *[("strategy", "m_taug", v) for v in ("nan", "-0.1", "1.5")],
     *[("strategy", k, "x") for k in ("zeta", "m_taug")],
     *[("strategy", "zeta", v) for v in ("nan", "inf", "0", "-1")],
     *[("gains", k, "x") for k in ("kp", "ki", "kbeta", "ktaug")],
@@ -1116,7 +1118,7 @@ def test_overflowing_loop_ends_as_an_error_naming_the_overflow(tmp_path, capsys)
     # so it also meets the overflowing one-step map and forcing
     cfg = _cfg(tmp_path, OVERFLOW + "\n[campaign]\nwind_speeds = 12\n"
                "strategies = none\n")
-    for command in ("analyze", "campaign", "bode"):
+    for command in ("analyze", "campaign", "bode", "tune"):
         rc = _main_without_runtime_warnings(
             [command, "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
@@ -1126,6 +1128,9 @@ def test_overflowing_loop_ends_as_an_error_naming_the_overflow(tmp_path, capsys)
             (command, err)
         assert all(line.startswith("warning: ") for line in notes), (command, err)
         assert "pole on grid" not in err
+    # tune used to write a subnormal ki and zeta=-0 with exit 0
+    assert "error: state matrix is not finite: " in last
+    assert not (tmp_path / "o" / "gains.ini").exists()
 
 
 def test_infeasible_step_count_ends_as_an_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fowtctl.config import load_sensitivities
 from fowtctl.errors import GainSingularityError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
@@ -65,6 +67,35 @@ def test_phi_condition_boundary_warns():
     with pytest.warns(NmpzBoundaryWarning):
         result = nmpz_phi_condition(sens)
     assert result is False  # boundary classified as no-NMPZ
+
+
+@pytest.mark.parametrize("dt", [1.0e8, 0.0])
+@pytest.mark.parametrize("offset,warns", [(0.0, True), (1e-13, True),
+                                          (1e-11, True), (1e-6, False)])
+def test_omega_condition_boundary_warns(params, sens_t1f, dt, offset, warns):
+    # dfa_dv on the boundary ht^2 (dfa_dv - dta_dv dfa_dbeta/dta_dbeta) = -dt,
+    # then scaled by 1 + offset: within 1e-9 of it the condition warns,
+    # also at dt = 0, where one side of that form is 0
+    flat = dataclasses.replace(params, dt=dt)
+    s = sens_t1f
+    edge = -dt / params.ht ** 2 + s.dta_dv * s.dfa_dbeta / s.dta_dbeta
+    sens = dataclasses.replace(s, dfa_dv=edge * (1.0 + offset))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        nmpz_omega_condition(flat, sens)
+    assert any(w.category is NmpzBoundaryWarning for w in caught) is warns
+
+
+def test_packaged_sets_are_off_the_nmpz_boundaries(params):
+    for name in ("table1-false", "table1-true", "table2-false", "table2-true",
+                 "table3-both"):
+        sens = load_sensitivities(name)[0]
+        full = -params.ht / params.ng * sens.dta_dv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NmpzBoundaryWarning)
+            nmpz_phi_condition(sens)
+            for ktaug in (0.0, 0.5 * full, full):
+                nmpz_omega_condition(params, sens, ktaug)
 
 
 def test_omega_condition_ktaug_can_flip(params, sens_t2t):
