@@ -1128,7 +1128,7 @@ def test_overflowing_loop_ends_as_an_error_naming_the_overflow(tmp_path, capsys)
             (command, err)
         assert all(line.startswith("warning: ") for line in notes), (command, err)
         assert "pole on grid" not in err
-    # tune used to write a subnormal ki and zeta=-0 with exit 0
+    # tune refuses the loop before it writes gains.ini
     assert "error: state matrix is not finite: " in last
     assert not (tmp_path / "o" / "gains.ini").exists()
 
