@@ -23,7 +23,7 @@ if not any(_v in _os.environ for _v in
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import ConfigError, FowtctlError, GainSingularityError, ParameterError
+from .errors import ConfigError, FowtctlError, ParameterError
 from .fatigue import (Cycle, Cycles, WohlerCurve, damage_equivalent_load,
                       miner_damage, rainflow, turning_points)
 from .gains import (RotorTarget, kbeta_reference, kbeta_zeta_fixed, ktaug,
@@ -54,6 +54,6 @@ __all__ = [
     "FrequencyResponse", "default_grid", "bode_gplt", "bode_grot", "damped_band",
     "Cycle", "Cycles", "WohlerCurve", "turning_points", "rainflow",
     "damage_equivalent_load", "miner_damage",
-    "FowtctlError", "ParameterError", "GainSingularityError", "ConfigError",
+    "FowtctlError", "ParameterError", "ConfigError",
     "__version__",
 ]

@@ -9,9 +9,5 @@ class ParameterError(FowtctlError, ValueError):
     """A physical or control parameter violates its constraints."""
 
 
-class GainSingularityError(FowtctlError, ZeroDivisionError):
-    """A gain formula divides by a vanishing sensitivity or lever arm."""
-
-
 class ConfigError(FowtctlError, ValueError):
     """A run configuration file is missing keys or references."""

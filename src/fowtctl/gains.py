@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GainSingularityError, ParameterError
+from .errors import ParameterError
 from .model import AeroSensitivities, ControlGains, StructuralParams
 
 
@@ -42,8 +42,6 @@ def tune_pi(params: StructuralParams, sens: AeroSensitivities,
         nu_rot^2 = -(ng/jr) * dta_dbeta * ki
         2 zeta_rot nu_rot = -(ng/jr) * (dta_domega + kp * dta_dbeta)
     """
-    if sens.dta_dbeta == 0.0:
-        raise GainSingularityError("dta_dbeta = 0: PI inversion undefined")
     g = params.ng / params.jr * sens.dta_dbeta
     ki = -target.nu_rot ** 2 / g
     kp = -(2.0 * target.zeta_rot * target.nu_rot
@@ -57,10 +55,6 @@ def kbeta_zeta_fixed(params: StructuralParams, sens: AeroSensitivities,
     on the reduced platform dynamics, leaving nu_plt untouched."""
     if not (zeta_plt > 0.0 and math.isfinite(zeta_plt)):
         raise ParameterError(f"zeta_plt must be > 0 (got {zeta_plt})")
-    if sens.dfa_dbeta == 0.0:
-        raise GainSingularityError("dfa_dbeta = 0: damping imposition undefined")
-    if params.ht == 0.0:
-        raise GainSingularityError("ht = 0: blade pitch has no lever on the platform")
     return (params.dt + params.ht ** 2 * sens.dfa_dv
             - 2.0 * math.sqrt(params.kt * params.jt) * zeta_plt) \
         / (params.ht * sens.dfa_dbeta)
@@ -69,8 +63,6 @@ def kbeta_zeta_fixed(params: StructuralParams, sens: AeroSensitivities,
 def kbeta_reference(params: StructuralParams, sens: AeroSensitivities) -> float:
     """Compensation gain erasing, at first order, the wind-torque
     coupling between platform rate and rotor speed."""
-    if sens.dta_dbeta == 0.0:
-        raise GainSingularityError("dta_dbeta = 0: decoupling gain undefined")
     return params.ht * sens.dta_dv / sens.dta_dbeta
 
 

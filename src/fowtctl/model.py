@@ -45,6 +45,11 @@ class AeroSensitivities:
 
     def __post_init__(self):
         _require_finite(self, [f.name for f in fields(self)])
+        # every closed form divides by one of the two pitch sensitivities
+        for name in ("dta_dbeta", "dfa_dbeta"):
+            value = getattr(self, name)
+            if value == 0.0:
+                raise ParameterError(f"{name} must be nonzero (got {value})")
 
     def validate_above_rated(self) -> "AeroSensitivities":
         """Check the sign pattern of an above-rated operating point.
@@ -86,8 +91,8 @@ class StructuralParams:
             raise ParameterError("jr, jt and kt must be strictly positive")
         if self.dt < 0.0:
             raise ParameterError(f"dt must be >= 0 (got {self.dt})")
-        if self.ht < 0.0:
-            raise ParameterError(f"ht must be >= 0 (got {self.ht})")
+        if self.ht <= 0.0:
+            raise ParameterError(f"ht must be > 0 (got {self.ht})")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fowtctl.errors import GainSingularityError, ParameterError
+from fowtctl.errors import ParameterError
 from fowtctl.gains import (RotorTarget, kbeta_reference, kbeta_zeta_fixed,
                            ktaug, synthesize, tune_pi)
 from fowtctl.model import AeroSensitivities, StructuralParams
@@ -78,22 +78,22 @@ def test_ktaug_fraction_bounds(params, sens_t1f):
         ktaug(params, sens_t1f, -0.1)
 
 
-def test_singular_sensitivities_rejected(params):
-    sens = AeroSensitivities(dta_domega=-1.0, dta_dv=1.0, dta_dbeta=0.0,
-                             dfa_domega=-1.0, dfa_dv=1.0, dfa_dbeta=0.0)
-    with pytest.raises(GainSingularityError):
-        tune_pi(params, sens, TARGET)
-    with pytest.raises(GainSingularityError):
-        kbeta_zeta_fixed(params, sens, 0.1)
-    with pytest.raises(GainSingularityError):
-        kbeta_reference(params, sens)
+def test_singular_sensitivities_rejected():
+    # tune_pi, kbeta_zeta_fixed and kbeta_reference divide by these: the
+    # record that carries them refuses a zero
+    values = dict(dta_domega=-1.0, dta_dv=1.0, dta_dbeta=-1.0,
+                  dfa_domega=-1.0, dfa_dv=1.0, dfa_dbeta=-1.0)
+    for name in ("dta_dbeta", "dfa_dbeta"):
+        with pytest.raises(ParameterError,
+                           match=rf"^{name} must be nonzero \(got 0.0\)$"):
+            AeroSensitivities(**{**values, name: 0.0})
 
 
-def test_zero_lever_arm_rejected(sens_t1f):
-    flat = StructuralParams(ng=1.0, jr=3.16e8, jt=3.0e11, dt=1.0e8,
-                            kt=1.433e10, ht=0.0)
-    with pytest.raises(GainSingularityError, match="ht"):
-        kbeta_zeta_fixed(flat, sens_t1f, 0.1)
+def test_zero_lever_arm_rejected():
+    # kbeta_zeta_fixed divides by ht
+    with pytest.raises(ParameterError, match=r"^ht must be > 0 \(got 0.0\)$"):
+        StructuralParams(ng=1.0, jr=3.16e8, jt=3.0e11, dt=1.0e8,
+                         kt=1.433e10, ht=0.0)
 
 
 def test_synthesize_strategies(params, sens_t1f):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fowtctl.config import load_sensitivities
-from fowtctl.errors import GainSingularityError
+from fowtctl.errors import ParameterError
 from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
                            build_open_loop, close_loop)
@@ -106,13 +106,15 @@ def test_omega_condition_ktaug_can_flip(params, sens_t2t):
     assert nmpz_omega_condition(params, sens_t2t, ktaug=full) is False
 
 
-def test_condition_singularities(params):
-    sens = AeroSensitivities(dta_domega=-1.0, dta_dv=1.0, dta_dbeta=0.0,
-                             dfa_domega=-1.0, dfa_dv=1.0, dfa_dbeta=0.0)
-    with pytest.raises(GainSingularityError):
-        nmpz_phi_condition(sens)
-    with pytest.raises(GainSingularityError):
-        nmpz_omega_condition(params, sens)
+def test_condition_singularities():
+    # both conditions divide by the pitch sensitivities, which the record
+    # refuses to hold as zero, of either sign
+    values = dict(dta_domega=-1.0, dta_dv=1.0, dta_dbeta=-1.0,
+                  dfa_domega=-1.0, dfa_dv=1.0, dfa_dbeta=-1.0)
+    for name in ("dta_dbeta", "dfa_dbeta"):
+        for zero in (0.0, -0.0):
+            with pytest.raises(ParameterError, match=f"^{name} must be nonzero"):
+                AeroSensitivities(**{**values, name: zero})
 
 
 # --- numerators --------------------------------------------------------
@@ -158,11 +160,11 @@ def test_numerators_are_the_model_channel_numerators(params, sens_t1f, sens_t3,
                                        rtol=1e-9, atol=1e-9)
 
 
-def test_numerator_omega_needs_lever_arm(sens_t2t):
-    flat = StructuralParams(ng=1.0, jr=3.16e8, jt=3.0e11, dt=1.0e8,
-                            kt=1.433e10, ht=0.0)
-    with pytest.raises(GainSingularityError):
-        numerator_omega(flat, sens_t2t)
+def test_numerator_omega_needs_lever_arm():
+    # its coefficients divide by ht, which the record refuses to hold as zero
+    with pytest.raises(ParameterError, match=r"^ht must be > 0 \(got 0.0\)$"):
+        StructuralParams(ng=1.0, jr=3.16e8, jt=3.0e11, dt=1.0e8,
+                         kt=1.433e10, ht=0.0)
 
 
 def _random_admissible(rng):
