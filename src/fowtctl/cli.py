@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import (FatigueSettings, RunConfig, export_gains, load_run_config,
                      load_sensitivities, strategy_label)
-from .errors import FowtctlError
+from .errors import FowtctlError, ParameterError
 from .fatigue import (WohlerCurve, damage_equivalent_load, miner_damage,
                       rainflow)
 from .gains import RotorTarget, synthesize
@@ -187,15 +187,25 @@ def _campaign_case(cfg: RunConfig, index: int, speed: float,
     # one row per channel: each reduction runs along a contiguous row, in
     # the order a call on that channel alone would sum it
     chans = np.stack([post.channels[name] for name in STAT_CHANNELS])
-    stats = np.column_stack([chans.min(axis=1), chans.mean(axis=1),
-                             chans.max(axis=1), chans.std(axis=1)]).ravel().tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = np.column_stack([chans.min(axis=1), chans.mean(axis=1),
+                                 chans.max(axis=1), chans.std(axis=1)])
+    label = strategy_label(strategy)
+    case_id = f"ws{speed:g}_{label}"
+    # a finite channel's sum or sum of squares past the largest double is
+    # refused, as the DEL is; a diverged run's inf passes through
+    for name, values, row in zip(STAT_CHANNELS, chans, stats):
+        if not np.isfinite(row).all() and np.isfinite(values).all():
+            stat = ("min", "mean", "max", "std")[int(np.argmin(np.isfinite(row)))]
+            raise ParameterError(
+                f"the {stat} of {name} in case {case_id} overflows: its largest "
+                f"magnitude is {float(np.abs(values).max())!r}")
     _, del_tower, damage = _evaluate_fatigue(post.channels["tower_moment"],
                                              cfg.fatigue)
-    label = strategy_label(strategy)
-    return (f"ws{speed:g}_{label}", speed, label,
+    return (case_id, speed, label,
             gains.kp, gains.ki, gains.kbeta, gains.ktaug,
             str(stable).lower(), str(diverged).lower(),
-            *stats, del_tower, damage)
+            *stats.ravel().tolist(), del_tower, damage)
 
 
 def cmd_campaign(cfg: RunConfig, out: Path) -> int:

@@ -206,8 +206,9 @@ _TABLE = {
                  # a field of None: load_run_config reads the key itself
                  "sens.<speed>": (None, str, None)},
     "disturbance.<name>": {**_keys(("kind", "path"), str), "seed": ("seed", int, None),
-                           **_keys(("amplitude", "period", "onset", "hs", "gamma"),
-                                   check=_FINITE)},
+                           "amplitude": ("amplitude", float, _FINITE),
+                           **_keys(("period", "gamma"), check=_POSITIVE),
+                           **_keys(("onset", "hs"), check=_NONNEGATIVE)},
 }
 
 

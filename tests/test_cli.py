@@ -347,7 +347,8 @@ use = table1-false
 
 # keys other than the malformed one that its section needs to reach it
 _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
-                    "disturbance.d": {"kind": "step-wind"}}
+                    "disturbance.d": {"kind": "step-wind"},
+                    "disturbance.sea": {"kind": "jonswap-wave"}}
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -365,6 +366,9 @@ _SECTION_CONTEXT = {"strategy": {"kind": "zeta-fixed", "zeta": "0.10"},
     *[("disturbance.d", k, v)
       for k in ("amplitude", "period", "onset", "hs", "gamma")
       for v in ("nan", "inf", "-inf")],
+    *[("disturbance.sea", k, v) for k in ("period", "gamma") for v in ("0", "-1")],
+    ("disturbance.sea", "hs", "-1"),
+    ("disturbance.d", "onset", "-1"),
     *[("fatigue", k, "x")
       for k in ("m1", "m2", "knee", "stress_knee", "section_modulus",
                 "n_ref", "lifetime_scale", "hysteresis_frac")],
@@ -468,6 +472,10 @@ duration = 5
                  id="jonswap-wave-amplitude"),
     pytest.param(_SIM_SHORT + "\n[disturbance.d]\nkind = step-wind\n"
                  "amplitude = 1\nperiod = 11\n", [], id="step-wind-period"),
+    pytest.param(MINIMAL.replace("umaine-iea15", "chain"),
+                 ["--params-dir", "{params}"], id="use-in-set"),
+    pytest.param(_SIM_SHORT + "\n[disturbance.x]\namplitude = 1\n", [],
+                 id="disturbance-without-kind"),
 ])
 def test_malformed_input_ends_as_error(tmp_path, capsys, text, extra):
     broken = tmp_path / "params" / "structure" / "broken.ini"
@@ -478,6 +486,7 @@ def test_malformed_input_ends_as_error(tmp_path, capsys, text, extra):
     (broken.parent / "extra.ini").write_text(
         (_data_dir() / "structure" / "umaine-iea15.ini").read_text()
         + "[structur]\nkt = 2e10\n")
+    (broken.parent / "chain.ini").write_text("[structure]\nuse = umaine-iea15\n")
     fill = {"missing": tmp_path / "no-such-wind.csv", "params": tmp_path / "params"}
     cfg = (str(tmp_path / "no-such.ini") if text is None
            else _cfg(tmp_path, text.format(**fill)))
@@ -826,7 +835,7 @@ def test_jonswap_gamma_must_be_positive(tmp_path, capsys, gamma, rc):
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == rc
     err = capsys.readouterr().err
-    assert ("gamma must be > 0" in err) == (rc == 2)
+    assert ("'gamma' in [disturbance.wave] must be finite and > 0" in err) == (rc == 2)
 
 
 @pytest.mark.parametrize("kind,name,body,msg", [
@@ -1131,6 +1140,85 @@ def test_overflowing_loop_ends_as_an_error_naming_the_overflow(tmp_path, capsys)
     # tune refuses the loop before it writes gains.ini
     assert "error: state matrix is not finite: " in last
     assert not (tmp_path / "o" / "gains.ini").exists()
+
+
+UMAINE = dict(ng="1.0", jr="3.16e8", jt="3.0e11", dt="1.0e8", kt="1.433e10",
+              ht="150.0")
+
+
+def _inline_structure(text, **values):
+    """text with the packaged structure inline, values replacing its own."""
+    keys = "".join(f"{k} = {v}\n" for k, v in {**UMAINE, **values}.items())
+    return text.replace("use = umaine-iea15\n", keys)
+
+
+@pytest.mark.parametrize("values,message", [
+    pytest.param({"ht": "0.0"}, "ht must be > 0 (got 0.0)", id="ht=0"),
+    pytest.param({"ht": "1e160"}, "ht*ht overflows double precision (ht = 1e+160)",
+                 id="ht=1e160"),
+    pytest.param({"ng": "1e200"}, "ng*ng overflows double precision (ng = 1e+200)",
+                 id="ng=1e200"),
+    pytest.param({"kt": "1e-170", "jt": "1e-170"},
+                 "kt*jt underflows double precision (kt = 1e-170, jt = 1e-170)",
+                 id="kt=jt=1e-170"),
+    pytest.param({"kt": "1e-200", "jt": "1e200"},
+                 "kt/jt underflows double precision (kt = 1e-200, jt = 1e+200)",
+                 id="kt/jt=1e-400"),
+])
+@pytest.mark.parametrize("command", ["tune", "analyze", "simulate", "bode",
+                                     "campaign", "fatigue"])
+def test_structure_without_a_model_ends_as_an_error(tmp_path, capsys, command,
+                                                    values, message):
+    # every closed form divides by ht and takes ht^2, ng^2, sqrt(kt*jt)
+    # and sqrt(kt/jt); each of these structures ended at least one command
+    # in a traceback, or ran one command that another refused
+    cfg = _cfg(tmp_path, _inline_structure(SIM, **values)
+               + "\n[campaign]\nwind_speeds = 12\nstrategies = none\n")
+    series = tmp_path / "series.csv"
+    series.write_text("t [s],tower_moment [N*m]\n0,1\n0.1,-1\n0.2,1\n")
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    rc = _main_without_runtime_warnings(
+        argv + [str(series)] if command == "fatigue" else argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_campaign_statistic_overflow_ends_as_an_error(tmp_path, capsys):
+    # a stable loop whose tower moment, through ht * dfa_dv * v, steps by
+    # about 1.5e158: its square, and so its std, overflows, before the DEL
+    # that overflows too
+    sens = """dta_domega = -5.85971e7
+dta_dv = 2.9809e6
+dta_dbeta = -1.523478e8
+dfa_domega = -5.658e6
+dfa_dv = 1e156
+dfa_dbeta = -1.60522e7
+dtw_dw = 5e8
+"""
+    text = _inline_structure(MINIMAL, jt="1e160").replace(
+        "use = table1-false\n", sens)
+    cfg = _cfg(tmp_path, text + """
+[run]
+seed = 7
+[simulation]
+duration = 200
+transient = 20
+[disturbance.wind]
+kind = step-wind
+amplitude = 1
+onset = 50
+[campaign]
+wind_speeds = 12
+strategies = none
+""")
+    rc = _main_without_runtime_warnings(
+        ["campaign", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == ("error: the std of tower_moment in case ws12_none "
+                               "overflows: its largest magnitude is "
+                               "1.471875e+158\n"), err
+    assert not (tmp_path / "o" / "campaign.csv").exists()
 
 
 def test_infeasible_step_count_ends_as_an_error(tmp_path, capsys):

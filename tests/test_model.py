@@ -141,6 +141,14 @@ def test_above_rated_sign_pattern():
     dict(ng=1.0, jr=1.0, jt=1.0, dt=0.0, kt=0.0, ht=1.0),
     dict(ng=1.0, jr=1.0, jt=1.0, dt=0.0, kt=1.0, ht=-1.0),
     dict(ng=1.0, jr=1.0, jt=1.0, dt=0.0, kt=1.0, ht=0.0),
+    # ht^2, ng^2, kt*jt or kt/jt past the largest double, or below the least
+    dict(ng=1.0, jr=1.0, jt=1.0, dt=0.0, kt=1.0, ht=1e160),
+    dict(ng=1.0, jr=1.0, jt=1.0, dt=0.0, kt=1.0, ht=1e-170),
+    dict(ng=1e200, jr=1.0, jt=1.0, dt=0.0, kt=1.0, ht=1.0),
+    dict(ng=1.0, jr=1.0, jt=1e-170, dt=0.0, kt=1e-170, ht=1.0),
+    dict(ng=1.0, jr=1.0, jt=1e170, dt=0.0, kt=1e170, ht=1.0),
+    dict(ng=1.0, jr=1.0, jt=1e200, dt=0.0, kt=1e-200, ht=1.0),
+    dict(ng=1.0, jr=1.0, jt=1e-200, dt=0.0, kt=1e200, ht=1.0),
 ])
 def test_structural_invariants(kwargs):
     with pytest.raises(ParameterError):
