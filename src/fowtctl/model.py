@@ -95,11 +95,12 @@ class StructuralParams:
             raise ParameterError(f"ht must be > 0 (got {self.ht})")
         # the closed forms take ht^2, ng^2, sqrt(kt*jt) and sqrt(kt/jt): a
         # structure for which one is 0 or inf in double precision has no model
-        for name, value in (("ht*ht", self.ht * self.ht), ("ng*ng", self.ng * self.ng),
-                            ("kt*jt", self.kt * self.jt), ("kt/jt", self.kt / self.jt)):
+        for name, value, operands in (("ht*ht", self.ht * self.ht, ("ht",)),
+                                      ("ng*ng", self.ng * self.ng, ("ng",)),
+                                      ("kt*jt", self.kt * self.jt, ("kt", "jt")),
+                                      ("kt/jt", self.kt / self.jt, ("kt", "jt"))):
             if not 0.0 < value < math.inf:
-                given = ", ".join(f"{key} = {getattr(self, key)}"
-                                  for key in dict.fromkeys((name[:2], name[3:])))
+                given = ", ".join(f"{key} = {getattr(self, key)}" for key in operands)
                 raise ParameterError(f"{name} {'overflows' if value else 'underflows'} "
                                      f"double precision ({given})")
 
