@@ -125,7 +125,10 @@ def cmd_bode(cfg: RunConfig, out: Path) -> int:
         path = out / f"bode_{name}.csv"
         write_csv(path, _header(cfg),
                   ["nu [rad/s]", "magnitude [dB]", "phase [deg]"], "%.12g,%.12g,%.12g",
-                  ((nu, 20.0 * math.log10(mag), math.degrees(ph))
+                  # an exactly zero magnitude, as of a wave channel with
+                  # dtw_dw = 0, is -inf dB
+                  ((nu, 20.0 * math.log10(mag) if mag else -math.inf,
+                    math.degrees(ph))
                    for nu, mag, ph in zip(resp.nu_grid.tolist(),
                                           resp.magnitude.tolist(),
                                           resp.phase.tolist())))

@@ -43,6 +43,12 @@ def tune_pi(params: StructuralParams, sens: AeroSensitivities,
         2 zeta_rot nu_rot = -(ng/jr) * (dta_domega + kp * dta_dbeta)
     """
     g = params.ng / params.jr * sens.dta_dbeta
+    # both gains divide by g, which a subnormal dta_dbeta takes to 0 and a
+    # subnormal jr to inf
+    if not 0.0 < abs(g) < math.inf:
+        raise ParameterError(
+            f"ng/jr*dta_dbeta {'overflows' if g else 'underflows'} double precision "
+            f"(ng = {params.ng}, jr = {params.jr}, dta_dbeta = {sens.dta_dbeta})")
     ki = -target.nu_rot ** 2 / g
     kp = -(2.0 * target.zeta_rot * target.nu_rot
            + params.ng / params.jr * sens.dta_domega) / g

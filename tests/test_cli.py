@@ -235,6 +235,25 @@ def test_bode_outputs_three_sweeps(tmp_path):
         assert len(rows) == 401
 
 
+def test_bode_of_an_identically_zero_response_writes_minus_inf_db(tmp_path):
+    # dtw_dw = 0: the wave reaches no platform moment, so phi<-w is 0 at
+    # every frequency, -inf dB; its phase and the other two sweeps are finite
+    cfg = _cfg(tmp_path, BASE.replace(
+        "[sensitivities]\nuse = table1-false\n",
+        (_data_dir() / "sensitivities" / "table1-false.ini").read_text()
+        .replace("dtw_dw = 5.0e5", "dtw_dw = 0")))
+    assert _main_without_runtime_warnings(
+        ["bode", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = _read_rows(tmp_path / "o" / "bode_phi_from_w.csv")[1:]
+    assert len(rows) == 400
+    assert {mag for _, mag, _ in rows} == {"-inf"}
+    assert all(math.isfinite(float(phase)) for _, _, phase in rows)
+    for name in ("phi_from_v", "omega_from_v"):
+        rows = _read_rows(tmp_path / "o" / f"bode_{name}.csv")[1:]
+        assert len(rows) == 400
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 def test_fatigue_subcommand(tmp_path, capsys):
     cfg = _cfg(tmp_path, SIM)
     main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -1182,6 +1201,25 @@ def test_structure_without_a_model_ends_as_an_error(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert (rc, captured.err) == (2, f"error: {message}\n")
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("command", ["tune", "analyze", "simulate", "bode",
+                                     "campaign"])
+def test_subnormal_pitch_sensitivity_ends_as_an_error(tmp_path, capsys, command):
+    # dta_dbeta = -1e-320 is nonzero, but ng/jr*dta_dbeta, which both PI
+    # gains divide by, is 0 in double precision
+    sens = "\n".join(f"{k} = {v}" for k, v in dict(
+        dta_domega=-5.85971e7, dta_dv=2.9809e6, dta_dbeta=-1e-320,
+        dfa_domega=-5.658e6, dfa_dv=3.548e5, dfa_dbeta=-1.60522e7,
+        dtw_dw=5e8).items())
+    cfg = _cfg(tmp_path, SIM.replace("use = table1-false", sens)
+               + "\n[campaign]\nwind_speeds = 12\nstrategies = none\n")
+    rc = _main_without_runtime_warnings(
+        [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr().err) == (
+        2, "error: ng/jr*dta_dbeta underflows double precision "
+           "(ng = 1.0, jr = 316000000.0, dta_dbeta = -1e-320)\n")
+    assert not any((tmp_path / "o").iterdir())
 
 
 def test_campaign_statistic_overflow_ends_as_an_error(tmp_path, capsys):

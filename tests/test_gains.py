@@ -96,6 +96,24 @@ def test_zero_lever_arm_rejected():
                          kt=1.433e10, ht=0.0)
 
 
+@pytest.mark.parametrize("jr,dta_dbeta,message", [
+    pytest.param(3.16e8, -1e-320, "ng/jr*dta_dbeta underflows double precision "
+                 "(ng = 1.0, jr = 316000000.0, dta_dbeta = -1e-320)", id="underflow"),
+    pytest.param(1e-310, -1.523478e8, "ng/jr*dta_dbeta overflows double precision "
+                 "(ng = 1.0, jr = 1e-310, dta_dbeta = -152347800.0)", id="overflow"),
+])
+def test_pi_refuses_a_rotor_gain_outside_double_precision(sens_t1f, jr, dta_dbeta,
+                                                          message):
+    # kp and ki divide by ng/jr*dta_dbeta: a subnormal pitch sensitivity
+    # takes it to 0, a subnormal inertia to inf
+    params = StructuralParams(ng=1.0, jr=jr, jt=3.0e11, dt=1.0e8,
+                              kt=1.433e10, ht=150.0)
+    sens = AeroSensitivities(**{**vars(sens_t1f), "dta_dbeta": dta_dbeta})
+    with pytest.raises(ParameterError) as info:
+        tune_pi(params, sens, TARGET)
+    assert str(info.value) == message
+
+
 def test_synthesize_strategies(params, sens_t1f):
     none = synthesize(params, sens_t1f, TARGET, strategy="none")
     assert none.kbeta == 0.0
