@@ -28,7 +28,7 @@ from .model import (CHANNELS, AeroSensitivities, ControlGains, build_open_loop,
                     close_loop)
 from .sim import TimeSeries, csv_cell, simulate, write_csv
 from .stability import (bode_gplt, bode_grot, default_grid, loop_report,
-                        modal_report, platform_summary, rotor_summary)
+                        modal_report)
 
 STAT_CHANNELS = ("phi", "omega", "beta", "tower_moment")
 
@@ -64,23 +64,25 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
 
 def cmd_tune(cfg: RunConfig, out: Path) -> int:
     gains = _resolve_gains(cfg)
-    # a loop that overflows ends here, as in analyze, before gains.ini exists
-    modal_report(close_loop(build_open_loop(cfg.params, cfg.sens), gains).closed)
-    rot = rotor_summary(cfg.params, cfg.sens, gains.kp, gains.ki)
-    plt = platform_summary(cfg.params, cfg.sens, gains.kbeta)
+    # analyze's report: a loop it refuses ends here, before gains.ini exists
+    report = loop_report(cfg.params, cfg.sens, gains,
+                         close_loop(build_open_loop(cfg.params, cfg.sens), gains))
+    rot_nu, rot_zeta = report["rotor_nu [rad/s]"], report["rotor_zeta [-]"]
+    plt_nu, plt_zeta = report["platform_nu [rad/s]"], report["platform_zeta [-]"]
+    degenerate = math.isnan(rot_nu)
     lines = _header(cfg) + [
         "gains=[gains]" if cfg.gains_override is not None
         else f"strategy={cfg.strategy}"
         + (f" zeta_plt={cfg.zeta_plt}" if cfg.strategy == "zeta-fixed" else ""),
-        f"rotor: nu={rot.nu!r} rad/s zeta={rot.zeta!r} degenerate={rot.degenerate}",
-        f"platform: nu={plt.nu!r} rad/s zeta={plt.zeta!r}",
+        f"rotor: nu={rot_nu!r} rad/s zeta={rot_zeta!r} degenerate={degenerate}",
+        f"platform: nu={plt_nu!r} rad/s zeta={plt_zeta!r}",
     ]
     export_gains(gains, out / "gains.ini", header_lines=lines)
     for f in fields(ControlGains):
         print(f"{f.name} = {getattr(gains, f.name)!r}")
-    print(f"rotor nu={rot.nu:.6g} rad/s zeta={rot.zeta:.6g}"
-          + (" (degenerate)" if rot.degenerate else ""))
-    print(f"platform nu={plt.nu:.6g} rad/s zeta={plt.zeta:.6g}")
+    print(f"rotor nu={rot_nu:.6g} rad/s zeta={rot_zeta:.6g}"
+          + (" (degenerate)" if degenerate else ""))
+    print(f"platform nu={plt_nu:.6g} rad/s zeta={plt_zeta:.6g}")
     print(f"wrote {out / 'gains.ini'}")
     return 0
 

@@ -146,28 +146,17 @@ def modal_report(a: np.ndarray) -> ModalReport:
     return ModalReport(eigenvalues=tuple(roots), modes=tuple(modes), stable=stable)
 
 
-@dataclass(frozen=True)
-class ModeSummary:
-    """Closed-form (nu, zeta) of a reduced second-order channel.
-    degenerate marks the case where the band-pass form does not exist
-    (non-positive radicand); nu and zeta are then NaN."""
-
-    nu: float
-    zeta: float
-    degenerate: bool = False
-
-
 def rotor_summary(params: StructuralParams, sens: AeroSensitivities,
-                  kp: float, ki: float) -> ModeSummary:
-    """Band-pass parameters of the reduced rotor loop.  Degenerate when
-    the radicand -(ng/jr) dta_dbeta ki is not strictly positive."""
+                  kp: float, ki: float) -> tuple[float, float]:
+    """(nu, zeta) of the reduced rotor loop's band-pass form.  Both are
+    NaN, the form degenerate, when the radicand -(ng/jr) dta_dbeta ki is
+    not strictly positive."""
     g = params.ng / params.jr
     radicand = -g * sens.dta_dbeta * ki
     if radicand <= 0.0:
-        return ModeSummary(nu=math.nan, zeta=math.nan, degenerate=True)
+        return math.nan, math.nan
     nu = math.sqrt(radicand)
-    zeta = -(g * sens.dta_domega + g * sens.dta_dbeta * kp) / (2.0 * nu)
-    return ModeSummary(nu=nu, zeta=zeta)
+    return nu, -(g * sens.dta_domega + g * sens.dta_dbeta * kp) / (2.0 * nu)
 
 
 def _nu_plt(params: StructuralParams) -> float:
@@ -176,14 +165,13 @@ def _nu_plt(params: StructuralParams) -> float:
 
 
 def platform_summary(params: StructuralParams, sens: AeroSensitivities,
-                     kbeta: float) -> ModeSummary:
-    """Low-pass parameters of the reduced platform dynamics.  nu_plt
-    depends only on kt and jt, never on the compensation gain."""
-    nu = _nu_plt(params)
+                     kbeta: float) -> tuple[float, float]:
+    """(nu, zeta) of the reduced platform dynamics' low-pass form.
+    nu_plt depends only on kt and jt, never on the compensation gain."""
     zeta = (params.dt + params.ht ** 2 * sens.dfa_dv
             - kbeta * params.ht * sens.dfa_dbeta) \
         / (2.0 * math.sqrt(params.kt * params.jt))
-    return ModeSummary(nu=nu, zeta=zeta)
+    return _nu_plt(params), zeta
 
 
 @dataclass(frozen=True)
@@ -227,7 +215,7 @@ def bode_gplt(params: StructuralParams, sens: AeroSensitivities, kbeta: float,
               nu_grid: np.ndarray, input_channel: str = "wave") -> FrequencyResponse:
     """Closed-form second-order low-pass of the reduced platform
     dynamics, from wind ("wind") or wave ("wave") forcing to phi."""
-    summ = platform_summary(params, sens, kbeta)
+    nu_plt, zeta = platform_summary(params, sens, kbeta)
     if input_channel == "wave":
         dc = sens.dtw_dw / params.kt
         label = "phi<-w"
@@ -238,7 +226,7 @@ def bode_gplt(params: StructuralParams, sens: AeroSensitivities, kbeta: float,
         raise ParameterError(f"unknown input channel {input_channel!r}")
     nu = np.asarray(nu_grid, dtype=float)
     with _overflow_is_an_error(label):
-        h = dc / (1.0 - (nu / summ.nu) ** 2 + 2j * summ.zeta * nu / summ.nu)
+        h = dc / (1.0 - (nu / nu_plt) ** 2 + 2j * zeta * nu / nu_plt)
         magnitude = np.abs(h)
     return FrequencyResponse(nu_grid=nu, magnitude=magnitude,
                              phase=np.unwrap(np.angle(h)), label=label)
@@ -273,8 +261,10 @@ def loop_report(params: StructuralParams, sens: AeroSensitivities,
                 gains: ControlGains, loop: StateSpace) -> dict:
     """Ordered {row name: value} of one closed loop: both NMPZ conditions,
     the sorted numerator zeros, the eigenvalues, each mode's nu and zeta,
-    `stable`, then the damped band.  A name carries its row's unit; a
-    condition or `stable` is a bool, any other value a number."""
+    `stable`, the damped band, then the reduced rotor and platform forms'
+    nu and zeta (the rotor's NaN when it has no band-pass form).  A name
+    carries its row's unit; a condition or `stable` is a bool, any other
+    value a number."""
     rows = {"nmpz_phi_condition": nmpz_phi_condition(sens),
             "nmpz_omega_condition": nmpz_omega_condition(params, sens, gains.ktaug)}
     for name, coeffs in (("phi", numerator_phi(params, sens)),
@@ -289,4 +279,8 @@ def loop_report(params: StructuralParams, sens: AeroSensitivities,
         rows[f"mode_{i}_zeta [-]"] = mode.zeta
     rows["stable"] = report.stable
     rows["damped_band_lo [rad/s]"], rows["damped_band_hi [rad/s]"] = damped_band(params)
+    rows["rotor_nu [rad/s]"], rows["rotor_zeta [-]"] = rotor_summary(
+        params, sens, gains.kp, gains.ki)
+    rows["platform_nu [rad/s]"], rows["platform_zeta [-]"] = platform_summary(
+        params, sens, gains.kbeta)
     return rows

@@ -101,8 +101,10 @@ def test_analyze_reports_conditions(tmp_path, capsys):
         assert rows["nmpz_phi_condition"] == expected
         assert rows["nmpz_omega_condition"] == expected
         assert rows["stable"] == "true"
-        # the damped band closes the table
-        assert list(rows)[-2:] == ["damped_band_lo [rad/s]", "damped_band_hi [rad/s]"]
+        # the damped band, then the reduced forms, close the table
+        assert list(rows)[-6:] == ["damped_band_lo [rad/s]", "damped_band_hi [rad/s]",
+                                   "rotor_nu [rad/s]", "rotor_zeta [-]",
+                                   "platform_nu [rad/s]", "platform_zeta [-]"]
         # the printed zeros are those of the numerator coefficient arrays,
         # and a channel has an RHP zero exactly when its condition holds
         run = load_run_config(cfg)

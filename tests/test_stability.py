@@ -256,6 +256,10 @@ def test_loop_report_rows(params, sens_t3):
         want[f"mode_{i}_zeta [-]"] = mode.zeta
     want["stable"] = report.stable
     want["damped_band_lo [rad/s]"], want["damped_band_hi [rad/s]"] = damped_band(params)
+    want["rotor_nu [rad/s]"], want["rotor_zeta [-]"] = rotor_summary(
+        params, sens_t3, gains.kp, gains.ki)
+    want["platform_nu [rad/s]"], want["platform_zeta [-]"] = platform_summary(
+        params, sens_t3, gains.kbeta)
     assert list(rows.items()) == list(want.items())
     assert {k for k, v in rows.items() if isinstance(v, bool)} == {
         "nmpz_phi_condition", "nmpz_omega_condition", "stable"}
@@ -264,21 +268,21 @@ def test_loop_report_rows(params, sens_t3):
 # --- reduced summaries -------------------------------------------------
 
 def test_platform_summary_natural_damping(params, sens_t1f):
-    summ = platform_summary(params, sens_t1f, kbeta=0.0)
-    assert summ.nu == pytest.approx(NU_PLT, rel=1e-12)
-    assert summ.zeta == pytest.approx(0.06163946499632949, rel=1e-12)
+    nu, zeta = platform_summary(params, sens_t1f, kbeta=0.0)
+    assert nu == pytest.approx(NU_PLT, rel=1e-12)
+    assert zeta == pytest.approx(0.06163946499632949, rel=1e-12)
 
 
 def test_platform_nu_independent_of_kbeta(params, sens_t1f):
-    nus = {platform_summary(params, sens_t1f, kb).nu
+    nus = {platform_summary(params, sens_t1f, kb)[0]
            for kb in (-50.0, -2.0, 0.0, 2.0, 50.0)}
     assert len(nus) == 1
 
 
 def test_rotor_summary_degenerate_flag(params, sens_t1f):
-    summ = rotor_summary(params, sens_t1f, kp=-0.3, ki=-1e-4)
-    assert summ.degenerate
-    assert math.isnan(summ.nu) and math.isnan(summ.zeta)
+    # degenerate: no band-pass form, so both values are NaN
+    nu, zeta = rotor_summary(params, sens_t1f, kp=-0.3, ki=-1e-4)
+    assert math.isnan(nu) and math.isnan(zeta)
 
 
 @given(zeta=st.floats(0.01, 1.5))
