@@ -51,8 +51,9 @@ class ModalReport:
 
 
 def _warn_if_boundary(lhs: float, rhs: float):
+    # a side that overflowed to inf tells nothing of the distance
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    if abs(lhs - rhs) <= BOUNDARY_RTOL * scale:
+    if scale < math.inf and abs(lhs - rhs) <= BOUNDARY_RTOL * scale:
         warnings.warn("operating point within 1e-9 of the NMPZ boundary",
                       NmpzBoundaryWarning, stacklevel=3)
 
@@ -84,12 +85,13 @@ def nmpz_omega_condition(params: StructuralParams, sens: AeroSensitivities,
     # two sides of the form above, neither vanishes when dt = 0
     _warn_if_boundary(params.ht ** 2 * tb * sens.dfa_dv,
                       params.ht ** 2 * fb * sens.dta_dv + torque - params.dt * tb)
-    # numerator coefficients scaled by ht (>0), which preserves signs
-    c3 = params.jt * tb
+    # the quadratic's middle coefficient scaled by ht (>0), which keeps its
+    # sign; the leading one, jt*dta_dbeta, has dta_dbeta's sign and is not
+    # formed, since it may underflow to 0
     c2 = (params.dt * tb
           + params.ht ** 2 * (tb * sens.dfa_dv - fb * sens.dta_dv)
           - torque)
-    return c2 / c3 < 0.0
+    return c2 < 0.0 if tb > 0.0 else c2 > 0.0
 
 
 def numerator_phi(params: StructuralParams, sens: AeroSensitivities) -> np.ndarray:
@@ -118,6 +120,18 @@ def numerator_omega(params: StructuralParams, sens: AeroSensitivities,
           - ktaug * params.ng * fb)
     a1 = params.kt / params.ht * tb
     return np.array([a3, a2, a1, 0.0])
+
+
+def _numerator_roots(name: str, coeffs: np.ndarray) -> np.ndarray:
+    """Sorted roots of a numerator whose exact leading coefficient is
+    nonzero.  A leading coefficient so small beside the others that the
+    roots overflow, or that underflowed to 0, is refused naming it."""
+    with np.errstate(all="ignore"):
+        monic = coeffs / coeffs[0]  # the quotients np.roots would form
+    if not np.isfinite(monic).all():
+        raise ParameterError(f"the roots of {name} overflow double precision "
+                             f"(its leading coefficient is {float(coeffs[0])!r})")
+    return np.sort_complex(np.roots(monic))
 
 
 def modal_report(a: np.ndarray) -> ModalReport:
@@ -269,7 +283,7 @@ def loop_report(params: StructuralParams, sens: AeroSensitivities,
             "nmpz_omega_condition": nmpz_omega_condition(params, sens, gains.ktaug)}
     for name, coeffs in (("phi", numerator_phi(params, sens)),
                          ("omega", numerator_omega(params, sens, gains.ktaug))):
-        for i, r in enumerate(np.sort_complex(np.roots(coeffs))):
+        for i, r in enumerate(_numerator_roots(f"numerator_{name}", coeffs)):
             rows[f"numerator_{name}_root_{i}"] = r
     report = modal_report(loop.closed)
     for i, lam in enumerate(report.eigenvalues):

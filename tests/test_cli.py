@@ -1224,6 +1224,68 @@ def test_subnormal_pitch_sensitivity_ends_as_an_error(tmp_path, capsys, command)
     assert not any((tmp_path / "o").iterdir())
 
 
+# table1-false with a subnormal dta_dbeta, and [gains] in place of the
+# synthesis that refuses it
+_SUBNORMAL_TB = """dta_domega = -5.85971e7
+dta_dv = 2.9809e6
+dta_dbeta = -1e-320
+dfa_domega = -5.658e6
+dfa_dv = 3.548e5
+dfa_dbeta = -1.60522e7
+dtw_dw = 5e8
+"""
+_GAINS = "\n[gains]\nkp = -0.36\nki = 2e-4\nkbeta = 2.1\nktaug = 0\n"
+
+
+@pytest.mark.parametrize("values,coefficient", [
+    # jt/ht*dta_dbeta is subnormal: the roots' quotients overflow
+    pytest.param({}, "-1.9999777343654e-311", id="subnormal-leading"),
+    # jt*dta_dbeta underflows to 0, which nmpz_omega_condition divided by
+    pytest.param(dict(jt="1e-10", kt="1e-10"), "-0.0", id="zero-leading"),
+])
+@pytest.mark.parametrize("command", ["tune", "analyze"])
+def test_numerator_whose_roots_overflow_ends_as_an_error(tmp_path, capsys, command,
+                                                         values, coefficient):
+    text = _inline_structure(BASE, **values).replace("use = table1-false\n",
+                                                     _SUBNORMAL_TB)
+    cfg = _cfg(tmp_path, text + _GAINS)
+    rc = _main_without_runtime_warnings(
+        [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr().err) == (
+        2, "error: the roots of numerator_omega overflow double precision "
+           f"(its leading coefficient is {coefficient})\n")
+    assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("sens", ["table1-false", "table1-true", "table2-false",
+                                  "table2-true", "table3-both"])
+def test_tune_writes_the_reduced_rows_analyze_writes(tmp_path, capsys, sens):
+    # the synthesized gains of each strategy, and [gains] whose rotor loop
+    # has no band-pass form
+    degenerate = "\n[gains]\nkp = -0.3\nki = -1e-4\nkbeta = 2.1\nktaug = 0\n"
+    for name, text in (("zeta-fixed", BASE),
+                       ("reference", BASE.replace("zeta-fixed\nzeta = 0.10",
+                                                  "reference")),
+                       ("none", BASE.replace("zeta-fixed\nzeta = 0.10", "none")),
+                       ("degenerate", BASE + degenerate)):
+        cfg = _cfg(tmp_path, text.replace("table1-false", sens), f"{name}.ini")
+        out = tmp_path / name
+        rcs = [main([command, "--config", cfg, "--out", str(out)])
+               for command in ("tune", "analyze")]
+        assert rcs == [0, 0], (name, capsys.readouterr().err)
+        header = [line[2:] for line in (out / "gains.ini").read_text().splitlines()
+                  if line.startswith("# rotor: ") or line.startswith("# platform: ")]
+        values = [float(word.split("=")[1]) for line in header
+                  for word in line.split() if word.startswith(("nu=", "zeta="))]
+        rows = dict(_read_rows(out / "analysis.csv")[1:])
+        assert [f"{v:.12g}" for v in values] == [
+            rows[k] for k in ("rotor_nu [rad/s]", "rotor_zeta [-]",
+                              "platform_nu [rad/s]", "platform_zeta [-]")]
+        degenerate_rotor = name == "degenerate"
+        assert f"degenerate={degenerate_rotor}" in header[0]
+        assert (rows["rotor_nu [rad/s]"] == "nan") is degenerate_rotor
+
+
 def test_campaign_statistic_overflow_ends_as_an_error(tmp_path, capsys):
     # a stable loop whose tower moment, through ht * dfa_dv * v, steps by
     # about 1.5e158: its square, and so its std, overflows, before the DEL

@@ -117,6 +117,22 @@ def test_condition_singularities():
                 AeroSensitivities(**{**values, name: zero})
 
 
+
+def test_conditions_of_a_subnormal_pitch_sensitivity(sens_t1f):
+    # dta_dbeta = -1e-320: dta_domega/dta_dbeta overflows to inf, which
+    # says nothing of the boundary, and the omega numerator's leading
+    # coefficient jt*dta_dbeta underflows to 0, so only its sign is read
+    tiny = StructuralParams(ng=1.0, jr=3.16e8, jt=1e-10, dt=1e8, kt=1e-10,
+                            ht=150.0)
+    sens = dataclasses.replace(sens_t1f, dta_dbeta=-1e-320)
+    assert tiny.jt * sens.dta_dbeta == 0.0
+    normal = dataclasses.replace(sens, dta_dbeta=-1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nmpz_phi_condition(sens) is nmpz_phi_condition(normal) is False
+        assert nmpz_omega_condition(tiny, sens) is True
+        assert nmpz_omega_condition(tiny, normal) is True
+
 # --- numerators --------------------------------------------------------
 
 def test_numerator_phi_root_signs(params, sens_t1f, sens_t1t):
