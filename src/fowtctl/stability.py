@@ -122,18 +122,6 @@ def numerator_omega(params: StructuralParams, sens: AeroSensitivities,
     return np.array([a3, a2, a1, 0.0])
 
 
-def _numerator_roots(name: str, coeffs: np.ndarray) -> np.ndarray:
-    """Sorted roots of a numerator whose exact leading coefficient is
-    nonzero.  A leading coefficient so small beside the others that the
-    roots overflow, or that underflowed to 0, is refused naming it."""
-    with np.errstate(all="ignore"):
-        monic = coeffs / coeffs[0]  # the quotients np.roots would form
-    if not np.isfinite(monic).all():
-        raise ParameterError(f"the roots of {name} overflow double precision "
-                             f"(its leading coefficient is {float(coeffs[0])!r})")
-    return np.sort_complex(np.roots(monic))
-
-
 def modal_report(a: np.ndarray) -> ModalReport:
     """Eigenvalues of the state matrix with per-mode natural frequency
     and damping ratio; stable iff all real parts negative."""
@@ -283,7 +271,13 @@ def loop_report(params: StructuralParams, sens: AeroSensitivities,
             "nmpz_omega_condition": nmpz_omega_condition(params, sens, gains.ktaug)}
     for name, coeffs in (("phi", numerator_phi(params, sens)),
                          ("omega", numerator_omega(params, sens, gains.ktaug))):
-        for i, r in enumerate(_numerator_roots(f"numerator_{name}", coeffs)):
+        with np.errstate(all="ignore"):  # the quotients np.roots forms
+            finite = np.isfinite(coeffs[1:] / coeffs[0]).all()
+        if not finite:  # a subnormal or 0 leading coefficient
+            raise ParameterError(
+                f"the roots of numerator_{name} overflow double precision "
+                f"(its leading coefficient is {float(coeffs[0])!r})")
+        for i, r in enumerate(np.sort_complex(np.roots(coeffs))):
             rows[f"numerator_{name}_root_{i}"] = r
     report = modal_report(loop.closed)
     for i, lam in enumerate(report.eigenvalues):

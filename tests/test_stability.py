@@ -117,7 +117,6 @@ def test_condition_singularities():
                 AeroSensitivities(**{**values, name: zero})
 
 
-
 def test_conditions_of_a_subnormal_pitch_sensitivity(sens_t1f):
     # dta_dbeta = -1e-320: dta_domega/dta_dbeta overflows to inf, which
     # says nothing of the boundary, and the omega numerator's leading
@@ -132,6 +131,7 @@ def test_conditions_of_a_subnormal_pitch_sensitivity(sens_t1f):
         assert nmpz_phi_condition(sens) is nmpz_phi_condition(normal) is False
         assert nmpz_omega_condition(tiny, sens) is True
         assert nmpz_omega_condition(tiny, normal) is True
+
 
 # --- numerators --------------------------------------------------------
 
