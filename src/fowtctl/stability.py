@@ -273,10 +273,10 @@ def loop_report(params: StructuralParams, sens: AeroSensitivities,
                          ("omega", numerator_omega(params, sens, gains.ktaug))):
         with np.errstate(all="ignore"):  # the quotients np.roots forms
             finite = np.isfinite(coeffs[1:] / coeffs[0]).all()
-        if not finite:  # a subnormal or 0 leading coefficient
+        if not finite:  # a subnormal or 0 leading one, or one that overflowed
             raise ParameterError(
                 f"the roots of numerator_{name} overflow double precision "
-                f"(its leading coefficient is {float(coeffs[0])!r})")
+                f"(coefficients {coeffs.tolist()})")
         for i, r in enumerate(np.sort_complex(np.roots(coeffs))):
             rows[f"numerator_{name}_root_{i}"] = r
     report = modal_report(loop.closed)

@@ -1237,23 +1237,28 @@ dtw_dw = 5e8
 _GAINS = "\n[gains]\nkp = -0.36\nki = 2e-4\nkbeta = 2.1\nktaug = 0\n"
 
 
-@pytest.mark.parametrize("values,coefficient", [
+@pytest.mark.parametrize("values,sens,coefficients", [
     # jt/ht*dta_dbeta is subnormal: the roots' quotients overflow
-    pytest.param({}, "-1.9999777343654e-311", id="subnormal-leading"),
+    pytest.param({}, _SUBNORMAL_TB, "-1.9999777343654e-311, 7177500447000000.0, "
+                 "-9.55322697784e-313", id="subnormal-leading"),
     # jt*dta_dbeta underflows to 0, which nmpz_omega_condition divided by
-    pytest.param(dict(jt="1e-10", kt="1e-10"), "-0.0", id="zero-leading"),
+    pytest.param(dict(jt="1e-10", kt="1e-10"), _SUBNORMAL_TB,
+                 "-0.0, 7177500447000000.0, -0.0", id="zero-leading"),
+    # a normal dta_dbeta, but ht*dfa_dbeta*dta_dv overflows the middle one
+    pytest.param({}, _SUBNORMAL_TB.replace("-1e-320", "-1.523478e8").replace(
+        "3.548e5", "1e300"), "-3.046956e+17, -inf, -1.455429316e+16",
+        id="infinite-middle"),
 ])
 @pytest.mark.parametrize("command", ["tune", "analyze"])
 def test_numerator_whose_roots_overflow_ends_as_an_error(tmp_path, capsys, command,
-                                                         values, coefficient):
-    text = _inline_structure(BASE, **values).replace("use = table1-false\n",
-                                                     _SUBNORMAL_TB)
+                                                         values, sens, coefficients):
+    text = _inline_structure(BASE, **values).replace("use = table1-false\n", sens)
     cfg = _cfg(tmp_path, text + _GAINS)
     rc = _main_without_runtime_warnings(
         [command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert (rc, capsys.readouterr().err) == (
         2, "error: the roots of numerator_omega overflow double precision "
-           f"(its leading coefficient is {coefficient})\n")
+           f"(coefficients [{coefficients}, 0.0])\n")
     assert not any((tmp_path / "o").iterdir())
 
 
