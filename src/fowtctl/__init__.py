@@ -32,11 +32,11 @@ from .model import (AeroSensitivities, ControlGains, StateSpace,
                     StructuralParams, build_open_loop, close_loop)
 from .sim import (DisturbanceSpec, TimeSeries, jonswap_spectrum, jonswap_wave,
                   simulate)
-from .stability import (FrequencyResponse, Mode, ModalReport,
-                        NmpzBoundaryWarning, bode_gplt, bode_grot, damped_band,
-                        default_grid, modal_report, nmpz_omega_condition,
-                        nmpz_phi_condition, numerator_omega, numerator_phi,
-                        platform_summary, rotor_summary)
+from .stability import (FrequencyResponse, NmpzBoundaryWarning, bode_gplt,
+                        bode_grot, damped_band, default_grid, modal_report,
+                        nmpz_omega_condition, nmpz_phi_condition,
+                        numerator_omega, numerator_phi, platform_summary,
+                        rotor_summary)
 
 __version__ = "1.0.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "build_open_loop", "close_loop",
     "RotorTarget",
     "tune_pi", "kbeta_zeta_fixed", "kbeta_reference", "ktaug", "synthesize",
-    "Mode", "ModalReport", "NmpzBoundaryWarning",
+    "NmpzBoundaryWarning",
     "nmpz_phi_condition", "nmpz_omega_condition",
     "numerator_phi", "numerator_omega", "modal_report",
     "rotor_summary", "platform_summary",

@@ -185,7 +185,7 @@ def _campaign_case(cfg: RunConfig, index: int, speed: float,
     loop = close_loop(build_open_loop(cfg.params, sens), gains)
     ts = simulate(loop, cfg.disturbances, dt=cfg.dt, t_end=cfg.duration,
                   method=cfg.method, case=index)
-    stable = modal_report(loop.closed).stable
+    stable = modal_report(loop.closed)["stable"]
     diverged = ts.diverged_at is not None
     t_skip = cfg.transient if cfg.transient < cfg.duration else 0.0
     post = ts.window(t_skip) if not diverged else ts

@@ -1,8 +1,8 @@
 """Zero/pole analysis of the closed loop and the reduced forms.
 
 Non-minimum-phase-zero (NMPZ) conditions for the blade-pitch channels,
-the numerator polynomials they derive from, an eigen summary with
-per-mode damping, and the reduced rotor (band-pass) and platform
+the numerator polynomials they derive from, the closed loop's pole rows
+with per-mode damping, and the reduced rotor (band-pass) and platform
 (low-pass) second-order forms: their closed-form (nu, zeta) summaries
 and the frequency responses the Bode sweep emits.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,28 +26,6 @@ BOUNDARY_RTOL = 1e-9
 
 class NmpzBoundaryWarning(UserWarning):
     """The operating point sits numerically on an NMPZ boundary."""
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One characteristic root (or conjugate pair) with its natural
-    frequency and damping ratio."""
-
-    eigenvalue: complex
-    nu: float    # rad/s, |lambda|
-    zeta: float  # -Re(lambda)/|lambda|
-    oscillatory: bool
-
-
-@dataclass(frozen=True)
-class ModalReport:
-    eigenvalues: tuple[complex, ...]
-    modes: tuple[Mode, ...] = field(default=())
-    stable: bool = False
-
-    def mode_nearest(self, nu: float) -> Mode:
-        """Mode whose natural frequency is closest to nu."""
-        return min(self.modes, key=lambda m: abs(m.nu - nu))
 
 
 def _warn_if_boundary(lhs: float, rhs: float):
@@ -122,9 +100,12 @@ def numerator_omega(params: StructuralParams, sens: AeroSensitivities,
     return np.array([a3, a2, a1, 0.0])
 
 
-def modal_report(a: np.ndarray) -> ModalReport:
-    """Eigenvalues of the state matrix with per-mode natural frequency
-    and damping ratio; stable iff all real parts negative."""
+def modal_report(a: np.ndarray) -> dict:
+    """Ordered {row name: value} of the state matrix's poles: each
+    eigenvalue `eigenvalue_i`, then the natural frequency `mode_i_nu
+    [rad/s]` (|lambda|) and damping ratio `mode_i_zeta [-]`
+    (-Re(lambda)/|lambda|) of each real root and each conjugate pair once,
+    then `stable`, true iff all real parts are negative."""
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ParameterError("state matrix is not finite: the parameters "
@@ -132,20 +113,16 @@ def modal_report(a: np.ndarray) -> ModalReport:
     roots = np.linalg.eigvals(a).astype(complex)
     order = sorted(range(len(roots)), key=lambda i: (abs(roots[i]), roots[i].imag))
     roots = roots[order]
-    modes = []
-    for lam in roots:
-        oscillatory = abs(lam.imag) > 1e-12 * max(1.0, abs(lam))
-        if oscillatory:
-            # eigvals gives exact conjugate pairs, and the sort puts the
-            # imag < 0 member first: it reports the pair
-            if lam.imag > 0.0:
-                continue
-            lam = complex(lam.real, -lam.imag)
+    rows = {f"eigenvalue_{i}": lam for i, lam in enumerate(roots)}
+    # eigvals gives exact conjugate pairs, and the sort puts the imag < 0
+    # member first: it reports the pair
+    modes = [lam for lam in roots if lam.imag <= 1e-12 * max(1.0, abs(lam))]
+    for i, lam in enumerate(modes):
         nu = abs(lam)
-        zeta = -lam.real / nu if nu > 0.0 else math.inf
-        modes.append(Mode(eigenvalue=lam, nu=nu, zeta=zeta, oscillatory=oscillatory))
-    stable = bool(all(r.real < 0.0 for r in roots))
-    return ModalReport(eigenvalues=tuple(roots), modes=tuple(modes), stable=stable)
+        rows[f"mode_{i}_nu [rad/s]"] = nu
+        rows[f"mode_{i}_zeta [-]"] = -lam.real / nu if nu > 0.0 else math.inf
+    rows["stable"] = bool(all(r.real < 0.0 for r in roots))
+    return rows
 
 
 def rotor_summary(params: StructuralParams, sens: AeroSensitivities,
@@ -279,13 +256,7 @@ def loop_report(params: StructuralParams, sens: AeroSensitivities,
                 f"(coefficients {coeffs.tolist()})")
         for i, r in enumerate(np.sort_complex(np.roots(coeffs))):
             rows[f"numerator_{name}_root_{i}"] = r
-    report = modal_report(loop.closed)
-    for i, lam in enumerate(report.eigenvalues):
-        rows[f"eigenvalue_{i}"] = lam
-    for i, mode in enumerate(report.modes):
-        rows[f"mode_{i}_nu [rad/s]"] = mode.nu
-        rows[f"mode_{i}_zeta [-]"] = mode.zeta
-    rows["stable"] = report.stable
+    rows.update(modal_report(loop.closed))
     rows["damped_band_lo [rad/s]"], rows["damped_band_hi [rad/s]"] = damped_band(params)
     rows["rotor_nu [rad/s]"], rows["rotor_zeta [-]"] = rotor_summary(
         params, sens, gains.kp, gains.ki)

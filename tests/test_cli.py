@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import math
 import os
 import subprocess
@@ -120,6 +122,25 @@ def test_analyze_reports_conditions(tmp_path, capsys):
             roots = np.array([complex(v) for v in printed])
             nonzero = roots[roots != 0.0]
             assert np.sum(nonzero.real > 0.0) == (n_rhp if expected == "true" else 0)
+
+
+def test_analysis_rows_keep_their_order(tmp_path):
+    # a new report row goes at the end, so every earlier row keeps its line
+    cfg = _cfg(tmp_path, BASE.replace("table1-false", "table3-both")
+               + "m_taug = 0.5\n")
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert [r[0] for r in _read_rows(tmp_path / "analysis.csv")[1:]] == [
+        "nmpz_phi_condition", "nmpz_omega_condition",
+        "numerator_phi_root_0", "numerator_phi_root_1",
+        "numerator_omega_root_0", "numerator_omega_root_1",
+        "numerator_omega_root_2",
+        "eigenvalue_0", "eigenvalue_1", "eigenvalue_2", "eigenvalue_3",
+        "mode_0_nu [rad/s]", "mode_0_zeta [-]",
+        "mode_1_nu [rad/s]", "mode_1_zeta [-]",
+        "stable",
+        "damped_band_lo [rad/s]", "damped_band_hi [rad/s]",
+        "rotor_nu [rad/s]", "rotor_zeta [-]",
+        "platform_nu [rad/s]", "platform_zeta [-]"]
 
 
 def test_simulate_output_round_trips(tmp_path):
@@ -1373,3 +1394,68 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
                     env)
     assert (tmp_path / "default" / "timeseries.csv").read_bytes() == \
         (tmp_path / "two" / "timeseries.csv").read_bytes()
+
+
+# umaine-iea15 and table1-false in SI: the magnitudes the fuzz below scales
+_MAGNITUDE_BASE = {
+    "structure": dict(ng=1.0, jr=3.16e8, jt=3.0e11, dt=1.0e8, kt=1.433e10,
+                      ht=150.0),
+    "sensitivities": dict(dta_domega=-5.85971e7, dta_dv=2.9809e6,
+                          dta_dbeta=-1.523478e8, dfa_domega=-5.658e6,
+                          dfa_dv=3.548e5, dfa_dbeta=-1.60522e7, dtw_dw=5e8),
+}
+_DISTURBANCE = {
+    "jonswap": "kind = jonswap-wave\nhs = 1.5\nperiod = 11\ngamma = 2\n",
+    "mono": "kind = mono-wave\namplitude = 1\nperiod = 20\n",
+    "step": "kind = step-wind\namplitude = 1\nonset = 1\n",
+}
+
+
+@st.composite
+def _magnitude_config(draw):
+    """A config whose structure and sensitivities are the base values each
+    scaled by 10^U(-s, s), s in [100, 150]: signs stay as they are and ng
+    scales up only, so every set is admissible in sign.  The strategy, the
+    method and one disturbance are drawn too."""
+    s = draw(st.floats(100.0, 150.0))
+    text = ""
+    for section, values in _MAGNITUDE_BASE.items():
+        text += f"[{section}]\n"
+        for key, base in values.items():
+            u = draw(st.floats(-1.0, 1.0))
+            text += f"{key} = {base * 10.0 ** (s * (abs(u) if key == 'ng' else u))!r}\n"
+    kind = draw(st.sampled_from(["none", "reference", "zeta-fixed"]))
+    text += f"[strategy]\nkind = {kind}\n"
+    text += "zeta = 0.1\n" if kind == "zeta-fixed" else ""
+    text += f"m_taug = {draw(st.sampled_from(['0', '0.5']))}\n"
+    text += ("[run]\nseed = 7\n[simulation]\ndt = 0.05\nduration = 30\n"
+             f"method = {draw(st.sampled_from(['rk4', 'exact']))}\n")
+    text += "[disturbance.d]\n" + _DISTURBANCE[draw(st.sampled_from(sorted(_DISTURBANCE)))]
+    return text + "[campaign]\nwind_speeds = 12\nstrategies = none, zeta-fixed:0.1\n"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=_magnitude_config())
+def test_extreme_magnitudes_end_as_an_error_or_a_result(text):
+    # each closed form returns a finite value or raises a ParameterError
+    # that names the quantity; a raw exception or warning is a fault
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(text)
+        out = Path(tmp) / "out"
+        rc = {}
+        for command in ("tune", "analyze", "simulate", "bode", "campaign",
+                        "fatigue"):
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+            if command == "fatigue":
+                argv.append(str(out / "timeseries.csv"))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc[command] = _main_without_runtime_warnings(argv)
+            assert rc[command] in (0, 2), (command, err.getvalue())
+            assert all(line.startswith(("error: ", "warning: "))
+                       for line in err.getvalue().splitlines()), \
+                (command, err.getvalue())
+        # analyze's report is the one tune reads before it writes gains.ini
+        assert rc["tune"] != 0 or rc["analyze"] == 0, rc

@@ -17,6 +17,8 @@ from fowtctl.stability import (NmpzBoundaryWarning, damped_band, loop_report,
                                nmpz_phi_condition, numerator_omega, numerator_phi,
                                platform_summary, rotor_summary)
 
+from modes import mode_nearest, modes
+
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
 
 
@@ -216,29 +218,31 @@ def test_modal_report_stable_system(params, sens_t1f):
     gains = synthesize(params, sens_t1f, RotorTarget(0.6, 0.01),
                        strategy="zeta-fixed", zeta_plt=0.1)
     ss = close_loop(build_open_loop(params, sens_t1f), gains)
-    report = modal_report(ss.closed)
-    assert report.stable
-    assert len(report.eigenvalues) == 4
-    plt_mode = report.mode_nearest(NU_PLT)
-    assert plt_mode.oscillatory
-    assert plt_mode.zeta == pytest.approx(0.1, rel=0.15)
+    rows = modal_report(ss.closed)
+    assert rows["stable"] is True
+    assert [k for k in rows if k.startswith("eigenvalue_")] == [
+        f"eigenvalue_{i}" for i in range(4)]
+    _, plt_zeta = mode_nearest(rows, NU_PLT)
+    assert abs(plt_zeta) < 1.0  # oscillatory
+    assert plt_zeta == pytest.approx(0.1, rel=0.15)
 
 
 def test_modal_report_unstable_system():
     a = np.diag([-1.0, -2.0, 0.5, -3.0])
-    report = modal_report(a)
-    assert not report.stable
-    assert any(m.eigenvalue.real > 0 for m in report.modes)
+    rows = modal_report(a)
+    assert rows["stable"] is False
+    assert any(zeta < 0.0 for _, zeta in modes(rows))  # Re lambda > 0
 
 
 def test_modal_report_pairs_conjugates():
     a = np.array([[0.0, 1.0], [-4.0, -0.4]])  # one underdamped pair
-    report = modal_report(a)
-    assert len(report.eigenvalues) == 2
-    assert len(report.modes) == 1
-    mode = report.modes[0]
-    assert mode.nu == pytest.approx(2.0, rel=1e-9)
-    assert mode.zeta == pytest.approx(0.1, rel=1e-9)
+    rows = modal_report(a)
+    assert [k for k in rows if k.startswith("eigenvalue_")] == [
+        "eigenvalue_0", "eigenvalue_1"]
+    assert len(modes(rows)) == 1
+    nu, zeta = modes(rows)[0]
+    assert nu == pytest.approx(2.0, rel=1e-9)
+    assert zeta == pytest.approx(0.1, rel=1e-9)
 
 
 def test_modal_report_keeps_sort_order_for_pairs_of_equal_modulus():
@@ -247,9 +251,43 @@ def test_modal_report_keeps_sort_order_for_pairs_of_equal_modulus():
     a = np.zeros((4, 4))
     a[:2, :2] = [[0.0, 1.0], [-4.0, -0.4]]
     a[2:, 2:] = [[0.0, 1.0], [-4.0, -0.8]]
-    report = modal_report(a)
-    assert [m.zeta for m in report.modes] == pytest.approx([0.1, 0.2], rel=1e-9)
-    assert all(m.eigenvalue.imag > 0.0 for m in report.modes)
+    rows = modal_report(a)
+    assert [zeta for _, zeta in modes(rows)] == pytest.approx([0.1, 0.2], rel=1e-9)
+    # both members of each pair are eigenvalue rows; the mode rows hold
+    # each pair once
+    lams = [rows[f"eigenvalue_{i}"] for i in range(4)]
+    assert sorted(lam.imag > 0.0 for lam in lams) == [False, False, True, True]
+    assert all(lam.conjugate() in lams for lam in lams)
+    assert len(modes(rows)) == 2
+
+
+def test_modal_report_rows_and_their_order():
+    # one zero root, one real root and one pair: each real root is a
+    # mode, a zero one with zeta inf, and `stable` ends the rows
+    a = np.zeros((4, 4))
+    a[1, 1] = 3.0
+    a[2:, 2:] = [[0.0, 1.0], [-4.0, -0.4]]
+    rows = modal_report(a)
+    assert list(rows) == ["eigenvalue_0", "eigenvalue_1", "eigenvalue_2",
+                          "eigenvalue_3", "mode_0_nu [rad/s]", "mode_0_zeta [-]",
+                          "mode_1_nu [rad/s]", "mode_1_zeta [-]",
+                          "mode_2_nu [rad/s]", "mode_2_zeta [-]", "stable"]
+    assert modes(rows) == [(0.0, math.inf), pytest.approx((2.0, 0.1)),
+                           (3.0, -1.0)]
+    assert rows["stable"] is False
+
+
+def _pole_rows(a):
+    """The eigenvalue and mode rows of a, from np.linalg.eigvals alone:
+    nu = |lambda| and zeta = -Re(lambda)/|lambda|, each pair once."""
+    lams = sorted(np.linalg.eigvals(a), key=lambda lam: (abs(lam), lam.imag))
+    want = {f"eigenvalue_{i}": lam for i, lam in enumerate(lams)}
+    pairs = [lam for lam in lams if lam.imag <= 0.0]
+    for i, lam in enumerate(pairs):
+        want[f"mode_{i}_nu [rad/s]"] = abs(lam)
+        want[f"mode_{i}_zeta [-]"] = -lam.real / abs(lam)
+    want["stable"] = all(lam.real < 0.0 for lam in lams)
+    return want
 
 
 def test_loop_report_rows(params, sens_t3):
@@ -257,7 +295,6 @@ def test_loop_report_rows(params, sens_t3):
                        strategy="zeta-fixed", zeta_plt=0.1, m_taug=0.5)
     loop = close_loop(build_open_loop(params, sens_t3), gains)
     rows = loop_report(params, sens_t3, gains, loop)
-    report = modal_report(loop.closed)
     zeros = {name: np.sort_complex(np.roots(coeffs)) for name, coeffs in
              (("phi", numerator_phi(params, sens_t3)),
               ("omega", numerator_omega(params, sens_t3, gains.ktaug)))}
@@ -266,11 +303,7 @@ def test_loop_report_rows(params, sens_t3):
                                                          gains.ktaug),
             **{f"numerator_{name}_root_{i}": r
                for name, roots in zeros.items() for i, r in enumerate(roots)},
-            **{f"eigenvalue_{i}": lam for i, lam in enumerate(report.eigenvalues)}}
-    for i, mode in enumerate(report.modes):
-        want[f"mode_{i}_nu [rad/s]"] = mode.nu
-        want[f"mode_{i}_zeta [-]"] = mode.zeta
-    want["stable"] = report.stable
+            **_pole_rows(loop.closed)}
     want["damped_band_lo [rad/s]"], want["damped_band_hi [rad/s]"] = damped_band(params)
     want["rotor_nu [rad/s]"], want["rotor_zeta [-]"] = rotor_summary(
         params, sens_t3, gains.kp, gains.ki)
@@ -309,6 +342,6 @@ def test_imposed_damping_appears_in_coupled_modes(params, sens_t1f, zeta):
     gains = synthesize(params, sens_t1f, RotorTarget(0.6, 0.01),
                        strategy="zeta-fixed", zeta_plt=zeta)
     ss = close_loop(build_open_loop(params, sens_t1f), gains)
-    mode = modal_report(ss.closed).mode_nearest(NU_PLT)
-    if mode.oscillatory and zeta < 0.9:
-        assert mode.zeta == pytest.approx(zeta, rel=0.15)
+    _, mode_zeta = mode_nearest(modal_report(ss.closed), NU_PLT)
+    if abs(mode_zeta) < 1.0 and zeta < 0.9:  # an oscillatory pair
+        assert mode_zeta == pytest.approx(zeta, rel=0.15)
