@@ -33,8 +33,8 @@ from .model import (AeroSensitivities, ControlGains, StateSpace,
 from .sim import (DisturbanceSpec, TimeSeries, jonswap_spectrum, jonswap_wave,
                   simulate)
 from .stability import (FrequencyResponse, NmpzBoundaryWarning, bode_gplt,
-                        bode_grot, damped_band, default_grid, modal_report,
-                        nmpz_omega_condition, nmpz_phi_condition,
+                        bode_grot, damped_band, default_grid, loop_stable,
+                        modal_report, nmpz_omega_condition, nmpz_phi_condition,
                         numerator_omega, numerator_phi, platform_summary,
                         rotor_summary)
 
@@ -47,7 +47,7 @@ __all__ = [
     "tune_pi", "kbeta_zeta_fixed", "kbeta_reference", "ktaug", "synthesize",
     "NmpzBoundaryWarning",
     "nmpz_phi_condition", "nmpz_omega_condition",
-    "numerator_phi", "numerator_omega", "modal_report",
+    "numerator_phi", "numerator_omega", "modal_report", "loop_stable",
     "rotor_summary", "platform_summary",
     "TimeSeries", "DisturbanceSpec",
     "jonswap_spectrum", "jonswap_wave", "simulate",

@@ -198,7 +198,7 @@ def build_open_loop(params: StructuralParams, sens: AeroSensitivities) -> StateS
 def close_loop(ss: StateSpace, gains: ControlGains) -> StateSpace:
     """Fold the feedback u_c = K0 x into the state and output matrices:
     A = A0 + Bc K0 and C = C0 + Dc K0, Dc the control columns of D.  An
-    overflow leaves inf or nan in them, which modal_report refuses and
+    overflow leaves inf or nan in them, which loop_stable refuses and
     simulate flags as diverged, so it is not warned about here."""
     k0 = gains.k0()
     with np.errstate(over="ignore", invalid="ignore"):

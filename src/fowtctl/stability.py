@@ -2,9 +2,9 @@
 
 Non-minimum-phase-zero (NMPZ) conditions for the blade-pitch channels,
 the numerator polynomials they derive from, the closed loop's pole rows
-with per-mode damping, and the reduced rotor (band-pass) and platform
-(low-pass) second-order forms: their closed-form (nu, zeta) summaries
-and the frequency responses the Bode sweep emits.
+and exact stability verdict, and the reduced rotor (band-pass) and
+platform (low-pass) second-order forms: their closed-form (nu, zeta)
+summaries and the frequency responses the Bode sweep emits.
 """
 
 from __future__ import annotations
@@ -100,16 +100,18 @@ def numerator_omega(params: StructuralParams, sens: AeroSensitivities,
     return np.array([a3, a2, a1, 0.0])
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    if np.isfinite(a := np.asarray(a, dtype=float)).all():
+        return a
+    raise ParameterError("state matrix is not finite: the parameters "
+                         "overflow double precision")
+
+
 def modal_report(a: np.ndarray) -> dict:
-    """Ordered {row name: value} of the state matrix's poles: each
-    eigenvalue `eigenvalue_i`, then the natural frequency `mode_i_nu
-    [rad/s]` (|lambda|) and damping ratio `mode_i_zeta [-]`
-    (-Re(lambda)/|lambda|) of each real root and each conjugate pair once,
-    then `stable`, true iff all real parts are negative."""
-    a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise ParameterError("state matrix is not finite: the parameters "
-                             "overflow double precision")
+    """Ordered {row name: value} of the state matrix's poles: each eigenvalue
+    `eigenvalue_i`, then `mode_i_nu [rad/s]` (|lambda|) and `mode_i_zeta [-]`
+    (-Re(lambda)/|lambda|) of each real root and each conjugate pair once."""
+    a = _finite(a)
     roots = np.linalg.eigvals(a).astype(complex)
     order = sorted(range(len(roots)), key=lambda i: (abs(roots[i]), roots[i].imag))
     roots = roots[order]
@@ -121,8 +123,21 @@ def modal_report(a: np.ndarray) -> dict:
         nu = abs(lam)
         rows[f"mode_{i}_nu [rad/s]"] = nu
         rows[f"mode_{i}_zeta [-]"] = -lam.real / nu if nu > 0.0 else math.inf
-    rows["stable"] = bool(all(r.real < 0.0 for r in roots))
     return rows
+
+
+def loop_stable(a: np.ndarray) -> bool:
+    """True iff every pole of a loop from close_loop has Re < 0: the exact
+    Routh-Hurwitz test of the quartic of x times the poles, in integers."""
+    a = _finite(a)
+    if a.shape != (4, 4) or a[1, 2] or (a[::2] != np.eye(4)[1::2]).any():
+        raise ParameterError("state matrix lacks close_loop's rows 0, 2 and zero a12")
+    ratios = [v.as_integer_ratio() for v in a.take([4, 5, 7, 12, 13, 14, 15]).tolist()]
+    x = max(d for _, d in ratios)  # a_ij = n_ij / x: each d is a power of 2
+    n10, n11, n13, n30, n31, n32, n33 = (n * (x // d) for n, d in ratios)
+    c3, c2 = -(n11 + n33), n11 * n33 - n13 * n31 - x * (n10 + n32)
+    c1, c0 = x * (n11 * n32 + n10 * n33 - n13 * n30), x * x * n10 * n32
+    return min(c3, c2, c1, c0) > 0 and c3 * c2 * c1 > c1 * c1 + c3 * c3 * c0
 
 
 def rotor_summary(params: StructuralParams, sens: AeroSensitivities,
@@ -256,7 +271,7 @@ def loop_report(params: StructuralParams, sens: AeroSensitivities,
                 f"(coefficients {coeffs.tolist()})")
         for i, r in enumerate(np.sort_complex(np.roots(coeffs))):
             rows[f"numerator_{name}_root_{i}"] = r
-    rows.update(modal_report(loop.closed))
+    rows.update(modal_report(loop.closed), stable=loop_stable(loop.closed))
     rows["damped_band_lo [rad/s]"], rows["damped_band_hi [rad/s]"] = damped_band(params)
     rows["rotor_nu [rad/s]"], rows["rotor_zeta [-]"] = rotor_summary(
         params, sens, gains.kp, gains.ki)

@@ -20,7 +20,7 @@ from fowtctl.gains import RotorTarget, kbeta_zeta_fixed, synthesize
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
                            build_open_loop, close_loop)
 from fowtctl.sim import DisturbanceSpec, simulate
-from fowtctl.stability import (NmpzBoundaryWarning, modal_report,
+from fowtctl.stability import (NmpzBoundaryWarning, loop_stable, modal_report,
                                nmpz_omega_condition, nmpz_phi_condition,
                                numerator_omega, numerator_phi)
 
@@ -66,31 +66,36 @@ def test_nmpz_classification(params, sens_t1f, sens_t1t, sens_t2f,
     # a condition-blind aggressive tuning destabilizes the double-NMPZ
     # operating point
     gains = synthesize(params, sens_t3, RotorTarget(zeta_rot=0.7, nu_rot=0.2))
-    rows = modal_report(_loop(params, sens_t3, gains).closed)
-    ok = ok and rows["stable"] is False
+    ok = ok and loop_stable(_loop(params, sens_t3, gains).closed) is False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     assert _verdict("NMPZ classification matches all tabulated operating "
                     f"points and flags the unstable one ({elapsed:.2f} s)", ok)
 
 
+def _random_sets(n=1000):
+    """n random admissible sensitivity sets, each with a ktaug draw that
+    is 0 or -U(1e7, 1e9), the same on every call."""
+    rng = np.random.default_rng(7)
+    for _ in range(n):
+        sens = AeroSensitivities(
+            dta_domega=-rng.uniform(1e6, 1e8),
+            dta_dv=rng.uniform(1e5, 1e7),
+            dta_dbeta=-rng.uniform(1e7, 1e9),
+            dfa_domega=-rng.uniform(1e5, 1e7),
+            dfa_dv=rng.uniform(1e4, 1e6),
+            dfa_dbeta=-rng.uniform(1e6, 1e8),
+        )
+        yield sens, float(rng.choice([0.0, -rng.uniform(1e7, 1e9)]))
+
+
 def test_condition_root_sign_equivalence(params):
     start = time.perf_counter()
-    rng = np.random.default_rng(7)
     agree = 0
     n = 1000
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NmpzBoundaryWarning)
-        for _ in range(n):
-            sens = AeroSensitivities(
-                dta_domega=-rng.uniform(1e6, 1e8),
-                dta_dv=rng.uniform(1e5, 1e7),
-                dta_dbeta=-rng.uniform(1e7, 1e9),
-                dfa_domega=-rng.uniform(1e5, 1e7),
-                dfa_dv=rng.uniform(1e4, 1e6),
-                dfa_dbeta=-rng.uniform(1e6, 1e8),
-            )
-            ktg = float(rng.choice([0.0, -rng.uniform(1e7, 1e9)]))
+        for sens, ktg in _random_sets(n):
             phi_ok = nmpz_phi_condition(sens) == any(
                 r.real > 1e-12 for r in np.roots(numerator_phi(params, sens)))
             om_ok = nmpz_omega_condition(params, sens, ktg) == any(
@@ -102,6 +107,25 @@ def test_condition_root_sign_equivalence(params):
     assert _verdict("condition booleans equal numerator RHP-root existence "
                     f"on {agree}/{n} random admissible sets ({elapsed:.1f} s)",
                     ok)
+
+
+def test_exact_verdict_matches_eigenvalues(params):
+    # the same sets and ktaug draws, each closed under three strategies
+    start = time.perf_counter()
+    agree = n = 0
+    for sens, ktg in _random_sets():
+        open_loop = build_open_loop(params, sens)
+        for kind, zeta in (("none", None), ("reference", None),
+                           ("zeta-fixed", 0.1)):
+            gains = synthesize(params, sens, TUNING, strategy=kind, zeta_plt=zeta)
+            a = close_loop(open_loop, replace(gains, ktaug=ktg)).closed
+            agree += loop_stable(a) is bool(np.all(np.linalg.eigvals(a).real < 0.0))
+            n += 1
+    elapsed = time.perf_counter() - start
+    ok = agree == n and elapsed < 10.0
+    assert _verdict("exact Routh-Hurwitz verdict equals the eigenvalue "
+                    f"verdict on {agree}/{n} closed loops (1000 random sets "
+                    f"x none/reference/zeta-fixed 0.1, {elapsed:.1f} s)", ok)
 
 
 def test_step_response_directionality(params, sens_t1f, sens_t1t, sens_t2t):

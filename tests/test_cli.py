@@ -19,9 +19,11 @@ import fowtctl
 from fowtctl import cli
 from fowtctl.cli import _resolve_gains, main
 from fowtctl.config import _data_dir, load_run_config
-from fowtctl.model import CHANNELS
+from fowtctl.model import CHANNELS, build_open_loop, close_loop
 from fowtctl.sim import TimeSeries
-from fowtctl.stability import numerator_omega, numerator_phi
+from fowtctl.stability import loop_stable, numerator_omega, numerator_phi
+
+from hurwitz import hurwitz_stable
 
 BASE = """
 [structure]
@@ -591,7 +593,7 @@ sens.12 = table1-true
 
 
 def test_campaign_closes_each_loop_once(tmp_path, monkeypatch):
-    # the loop simulate integrates is the one modal_report reads
+    # the loop simulate integrates is the one loop_stable reads
     calls = _counting(monkeypatch, "close_loop", everywhere=True)
     cfg = _cfg(tmp_path, SIM + """
 [campaign]
@@ -601,6 +603,74 @@ strategies = none, reference, zeta-fixed:0.25
     assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 6
     assert len(_read_rows(tmp_path / "o" / "campaign.csv")) == 1 + 6
+
+
+def test_campaign_calls_no_linalg_routine(tmp_path, monkeypatch):
+    # the verdict is integer arithmetic and the exact method's exponential
+    # is products only, so no case pages in LAPACK
+    calls = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, recording(name, fn))
+    cfg = _cfg(tmp_path, SIM.replace("duration = 60", "duration = 60\nmethod = exact")
+               + "\n[campaign]\nwind_speeds = 12, 16\n"
+               "strategies = none, reference, zeta-fixed:0.25\nsens.16 = table3-both\n")
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(_read_rows(tmp_path / "o" / "campaign.csv")) == 1 + 6
+    assert calls == []
+    np.linalg.eigvals(np.eye(2))  # the recorder is in place
+    assert calls == ["eigvals"]
+
+
+# eigvals puts the largest real part of this loop's poles at +2.5e-13; an
+# 80-digit eigensolve of the same matrix puts it at -2.5e-14
+STIFF = """
+[structure]
+ng = 22300
+jr = 3650
+jt = 3e8
+dt = 3.76e12
+kt = 4.92e11
+ht = 284000
+
+[sensitivities]
+dta_domega = -1.28e8
+dta_dv = 77
+dta_dbeta = -3.51e8
+dfa_domega = -1.12e8
+dfa_dv = 27.2
+dfa_dbeta = -1.03e7
+dtw_dw = 1.34e13
+
+[strategy]
+kind = zeta-fixed
+zeta = 0.10
+
+[campaign]
+wind_speeds = 12
+strategies = zeta-fixed:0.10
+"""
+
+
+def test_stiff_loop_gets_the_exact_verdict(tmp_path):
+    cfg = _cfg(tmp_path, STIFF)
+    for command in ("analyze", "campaign"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    analysis = dict(r[:2] for r in _read_rows(tmp_path / "o" / "analysis.csv")[1:])
+    assert analysis["stable"] == "true"
+    head, row = _read_rows(tmp_path / "o" / "campaign.csv")
+    assert row[head.index("stable")] == "true"
+    run = load_run_config(cfg)
+    a = close_loop(build_open_loop(run.params, run.sens), _resolve_gains(run)).closed
+    assert loop_stable(a) is hurwitz_stable(a) is True
 
 
 def test_campaign_missing_set_ends_before_any_case(tmp_path, monkeypatch, capsys):
@@ -1459,3 +1529,11 @@ def test_extreme_magnitudes_end_as_an_error_or_a_result(text):
                 (command, err.getvalue())
         # analyze's report is the one tune reads before it writes gains.ini
         assert rc["tune"] != 0 or rc["analyze"] == 0, rc
+        # analyze and campaign read the one verdict of the same loop
+        kind = text.split("[strategy]\nkind = ", 1)[1].split("\n", 1)[0]
+        if rc["analyze"] == rc["campaign"] == 0 and kind != "reference":
+            analysis = dict(r[:2] for r in _read_rows(out / "analysis.csv")[1:])
+            head, *rows = _read_rows(out / "campaign.csv")
+            label = "none" if kind == "none" else "zeta-fixed:0.1"
+            row = next(r for r in rows if r[head.index("strategy")] == label)
+            assert row[head.index("stable")] == analysis["stable"], text

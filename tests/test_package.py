@@ -29,6 +29,7 @@ def test_every_exported_name_resolves():
 def test_readme_library_sketch_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Library sketch\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert "loop_stable(loop.closed)" in block
     exec(compile(block, "README.md", "exec"), {})
     phi_nmpz, stable, del_tower = capsys.readouterr().out.split()
     assert (phi_nmpz, stable) == ("False", "True") and float(del_tower) > 0.0

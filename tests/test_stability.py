@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fowtctl.config import load_sensitivities
@@ -13,10 +13,11 @@ from fowtctl.gains import RotorTarget, synthesize
 from fowtctl.model import (AeroSensitivities, ControlGains, StructuralParams,
                            build_open_loop, close_loop)
 from fowtctl.stability import (NmpzBoundaryWarning, damped_band, loop_report,
-                               modal_report, nmpz_omega_condition,
+                               loop_stable, modal_report, nmpz_omega_condition,
                                nmpz_phi_condition, numerator_omega, numerator_phi,
                                platform_summary, rotor_summary)
 
+from hurwitz import hurwitz_stable, quartic
 from modes import mode_nearest, modes
 
 NU_PLT = math.sqrt(1.433e10 / 3.0e11)
@@ -219,7 +220,7 @@ def test_modal_report_stable_system(params, sens_t1f):
                        strategy="zeta-fixed", zeta_plt=0.1)
     ss = close_loop(build_open_loop(params, sens_t1f), gains)
     rows = modal_report(ss.closed)
-    assert rows["stable"] is True
+    assert loop_stable(ss.closed) is True
     assert [k for k in rows if k.startswith("eigenvalue_")] == [
         f"eigenvalue_{i}" for i in range(4)]
     _, plt_zeta = mode_nearest(rows, NU_PLT)
@@ -230,7 +231,6 @@ def test_modal_report_stable_system(params, sens_t1f):
 def test_modal_report_unstable_system():
     a = np.diag([-1.0, -2.0, 0.5, -3.0])
     rows = modal_report(a)
-    assert rows["stable"] is False
     assert any(zeta < 0.0 for _, zeta in modes(rows))  # Re lambda > 0
 
 
@@ -263,7 +263,7 @@ def test_modal_report_keeps_sort_order_for_pairs_of_equal_modulus():
 
 def test_modal_report_rows_and_their_order():
     # one zero root, one real root and one pair: each real root is a
-    # mode, a zero one with zeta inf, and `stable` ends the rows
+    # mode, a zero one with zeta inf, and the last pair's zeta ends the rows
     a = np.zeros((4, 4))
     a[1, 1] = 3.0
     a[2:, 2:] = [[0.0, 1.0], [-4.0, -0.4]]
@@ -271,10 +271,9 @@ def test_modal_report_rows_and_their_order():
     assert list(rows) == ["eigenvalue_0", "eigenvalue_1", "eigenvalue_2",
                           "eigenvalue_3", "mode_0_nu [rad/s]", "mode_0_zeta [-]",
                           "mode_1_nu [rad/s]", "mode_1_zeta [-]",
-                          "mode_2_nu [rad/s]", "mode_2_zeta [-]", "stable"]
+                          "mode_2_nu [rad/s]", "mode_2_zeta [-]"]
     assert modes(rows) == [(0.0, math.inf), pytest.approx((2.0, 0.1)),
                            (3.0, -1.0)]
-    assert rows["stable"] is False
 
 
 def _pole_rows(a):
@@ -286,7 +285,6 @@ def _pole_rows(a):
     for i, lam in enumerate(pairs):
         want[f"mode_{i}_nu [rad/s]"] = abs(lam)
         want[f"mode_{i}_zeta [-]"] = -lam.real / abs(lam)
-    want["stable"] = all(lam.real < 0.0 for lam in lams)
     return want
 
 
@@ -303,7 +301,7 @@ def test_loop_report_rows(params, sens_t3):
                                                          gains.ktaug),
             **{f"numerator_{name}_root_{i}": r
                for name, roots in zeros.items() for i, r in enumerate(roots)},
-            **_pole_rows(loop.closed)}
+            **_pole_rows(loop.closed), "stable": loop_stable(loop.closed)}
     want["damped_band_lo [rad/s]"], want["damped_band_hi [rad/s]"] = damped_band(params)
     want["rotor_nu [rad/s]"], want["rotor_zeta [-]"] = rotor_summary(
         params, sens_t3, gains.kp, gains.ki)
@@ -312,6 +310,111 @@ def test_loop_report_rows(params, sens_t3):
     assert list(rows.items()) == list(want.items())
     assert {k for k, v in rows.items() if isinstance(v, bool)} == {
         "nmpz_phi_condition", "nmpz_omega_condition", "stable"}
+    # a well-conditioned loop: the eigenvalues give the same verdict
+    assert rows["stable"] is all(np.linalg.eigvals(loop.closed).real < 0.0)
+
+
+# --- exact stability verdict ------------------------------------------
+
+_SETS = ("table1-false", "table1-true", "table2-false", "table2-true",
+         "table3-both")
+
+
+def _packaged_loops(params):
+    """The closed loops of the packaged grid: each packaged set x kbeta in
+    401 steps over [-20, 20] plus `reference`'s x m_taug 0, 1/2 and 1."""
+    for name in _SETS:
+        sens = load_sensitivities(name)[0]
+        open_loop = build_open_loop(params, sens)
+        for m_taug in (0.0, 0.5, 1.0):
+            ref = synthesize(params, sens, RotorTarget(0.6, 0.01),
+                             strategy="reference", m_taug=m_taug)
+            for kbeta in [*np.linspace(-20.0, 20.0, 401).tolist(), ref.kbeta]:
+                yield close_loop(open_loop, dataclasses.replace(ref, kbeta=kbeta)).closed
+
+
+def _has_loop_zeros(a) -> bool:
+    return (a[0].tolist() == [0, 1, 0, 0] and a[2].tolist() == [0, 0, 0, 1]
+            and a[1, 2] == 0.0)
+
+
+def test_loop_stable_on_the_packaged_grid(params):
+    # the quartic is det(sI - A) of the closed loop, and on these
+    # well-conditioned loops its exact verdict is the eigenvalues' one
+    n = 0
+    for a in _packaged_loops(params):
+        assert _has_loop_zeros(a)
+        np.testing.assert_allclose([float(c) for c in quartic(a)],
+                                   np.poly(a)[1:], rtol=1e-11, atol=0.0)
+        assert loop_stable(a) is bool(np.all(np.linalg.eigvals(a).real < 0.0))
+        n += 1
+    assert n == 5 * 3 * 402
+
+
+_BASE_STRUCTURE = dict(ng=1.0, jr=3.16e8, jt=3.0e11, dt=1.0e8, kt=1.433e10,
+                       ht=150.0)
+_BASE_SENS = dict(dta_domega=-5.85971e7, dta_dv=2.9809e6, dta_dbeta=-1.523478e8,
+                  dfa_domega=-5.658e6, dfa_dv=3.548e5, dfa_dbeta=-1.60522e7)
+
+
+@st.composite
+def _scaled_loop(draw):
+    """The closed loop of umaine-iea15 and table1-false with every value
+    scaled by 10^U(-s, s), s 5 or 30 (ng up only), under none, reference
+    or zeta-fixed 0.1 and m_taug 0 or 1/2.  At s = 30 about 5 % of these
+    loops get a wrong verdict from the same quartic in floats."""
+    s = draw(st.sampled_from([5.0, 30.0]))
+    # the exponents come from a drawn seed: hypothesis's own floats
+    # favour 0, +-1 and other round values, which scale by whole decades
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def scaled(base):
+        return {key: value * 10.0 ** (s * (abs(u) if key == "ng" else u))
+                for (key, value), u in zip(base.items(),
+                                           rng.uniform(-1.0, 1.0, len(base)))}
+
+    try:
+        params = StructuralParams(**scaled(_BASE_STRUCTURE))
+        sens = AeroSensitivities(**scaled(_BASE_SENS))
+        kind = draw(st.sampled_from(["none", "reference", "zeta-fixed"]))
+        gains = synthesize(params, sens, RotorTarget(0.6, 0.01), strategy=kind,
+                           zeta_plt=0.1 if kind == "zeta-fixed" else None,
+                           m_taug=draw(st.sampled_from([0.0, 0.5])))
+    except ParameterError:
+        assume(False)
+    with np.errstate(all="ignore"):
+        a = close_loop(build_open_loop(params, sens), gains).closed
+    assume(np.isfinite(a).all())
+    return a
+
+
+@given(a=_scaled_loop())
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+def test_loop_stable_is_exact_on_scaled_loops(a):
+    # the integer verdict equals the rational one at any magnitude, where
+    # a verdict from eigenvalue signs may not
+    assert _has_loop_zeros(a)
+    assert loop_stable(a) is hurwitz_stable(a)
+
+
+def test_loop_stable_refuses_what_close_loop_cannot_build(params, sens_t1f):
+    a = close_loop(build_open_loop(params, sens_t1f), ControlGains(ki=1e-4)).closed
+    assert loop_stable(a) is hurwitz_stable(a)
+    for bad in (np.diag([-1.0, -2.0, 0.5, -3.0]), np.eye(2), np.zeros((4, 5))):
+        with pytest.raises(ParameterError, match="lacks close_loop's rows"):
+            loop_stable(bad)
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 2), (2, 1), (2, 3)):
+        bad = a.copy()
+        bad[i, j] += 0.5
+        with pytest.raises(ParameterError, match="lacks close_loop's rows"):
+            loop_stable(bad)
+    # a non-finite matrix gets modal_report's refusal
+    for value in (math.inf, math.nan):
+        bad = a.copy()
+        bad[3, 3] = value
+        for check in (loop_stable, modal_report):
+            with pytest.raises(ParameterError, match="state matrix is not finite"):
+                check(bad)
 
 
 # --- reduced summaries -------------------------------------------------
